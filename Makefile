@@ -29,9 +29,13 @@ race:
 	$(GO) test -race -shuffle=on ./...
 
 # The parallel LMS kernel promises bit-identical fits at every worker
-# count; race-check that contract at several GOMAXPROCS values.
+# count; race-check that contract at several GOMAXPROCS values. OLS,
+# qrSolve, FactorOLS and BootstrapOLS (which factor each design once and
+# solve it many times, on one goroutine) promise bits identical to their
+# test-only reference implementations over a seeded corpus.
 determinism:
 	$(GO) test -run TestLMSDeterminism -race -cpu 1,2,4 ./internal/stats/
+	$(GO) test -race -run 'TestOLSBitIdenticalToReference|TestFactorOLSBitIdenticalToReference|TestBootstrapOLSBitIdenticalToReference|TestBitIdentCorpusHitsReplicateFallback' ./internal/stats/
 
 # The sharded engine promises byte-identical traces at every shard count;
 # race-check that contract (sample-level equality in internal/xen, the
@@ -92,25 +96,29 @@ serve:
 # ingest partial-accept contract, idle-tenant eviction, the deterministic
 # seed/keep/swap drift lifecycle, and the hot-swap torn-read hammer
 # (readers must never observe a model whose coefficients do not hash to
-# its advertised identity) — plus the drift rule's own unit suite.
+# its advertised identity) — plus the drift rule's own unit suite, and
+# the refit's fitting stages: Train and CompareOnWindow bit-identical to
+# their test-only per-target/per-replicate reference implementations, and
+# their allocation pins.
 learn:
 	$(GO) test -race -cpu 1,4 -run 'TestServeErrorEnvelope|TestServeIngestContract|TestServeTenantEviction|TestServeRefitLifecycle|TestServeRefitDeterminism|TestServeHotSwapConsistency|TestServeRefitLoop|TestOptionsNormalize|TestServeHealthzVersion' ./internal/serve/
-	$(GO) test -race -run 'TestCompareOnWindow' ./internal/core/
+	$(GO) test -race -run 'TestCompareOnWindow|TestTrainBitIdenticalToReference|TestTrainSingleAllocs' ./internal/core/
 
 # Hot-path benchmarks (engine step + sample pipeline + fitting/selection
 # kernels) with allocation reporting; the parsed results land in
 # BENCH_stats.json so the next PR has a perf trajectory to compare against.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkCampaignStepMetered|BenchmarkCampaignWarmStart|BenchmarkMeter$$|BenchmarkCSVSink|BenchmarkLMSFit|BenchmarkSelectKth|BenchmarkOLSFit|BenchmarkCDF|BenchmarkServeRefit' -benchmem . | $(GO) run ./cmd/benchjson -out BENCH_stats.json
+	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkCampaignStepMetered|BenchmarkCampaignWarmStart|BenchmarkMeter$$|BenchmarkCSVSink|BenchmarkLMSFit|BenchmarkSelectKth|BenchmarkOLSFit|BenchmarkCDF|BenchmarkServeRefit|BenchmarkTrain$$|BenchmarkCompareOnWindow|BenchmarkBootstrapOLS' -benchmem . | $(GO) run ./cmd/benchjson -out BENCH_stats.json
 
-# Re-run the metering-path benchmarks and diff them against the committed
-# BENCH_stats.json baseline: a >20% ns/op regression in any metering
-# benchmark fails the target, as does the journaled step's overhead over
+# Re-run the metering-path and refit-path benchmarks (the refit and its
+# two fitting stages, plus the bootstrap the report's coefficient CIs run)
+# and diff them against the committed BENCH_stats.json baseline: a >20%
+# ns/op regression in any of them fails the target, as does the journaled step's overhead over
 # the observed step growing by >20 percentage points (the -overhead pair
 # is a within-file ratio, so it survives an _env mismatch). Comparable
 # absolute numbers need a comparable machine, so an _env mismatch with the
 # committed baseline skips the delta table (benchjson prints SKIPPED)
 # instead of reporting machine noise as a regression.
 bench-compare:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineCampaignStep|BenchmarkCampaignStepMetered|BenchmarkCampaignWarmStart|BenchmarkEngineDatacenterMetered|BenchmarkMeter$$|BenchmarkServeRefit' -benchmem . | $(GO) run ./cmd/benchjson -out /tmp/bench_new.json
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineCampaignStep|BenchmarkCampaignStepMetered|BenchmarkCampaignWarmStart|BenchmarkEngineDatacenterMetered|BenchmarkMeter$$|BenchmarkServeRefit|BenchmarkTrain$$|BenchmarkCompareOnWindow|BenchmarkBootstrapOLS' -benchmem . | $(GO) run ./cmd/benchjson -out /tmp/bench_new.json
 	$(GO) run ./cmd/benchjson -compare -threshold 20 -skip-env-mismatch -overhead 'BenchmarkEngineCampaignStepObserved,BenchmarkEngineCampaignStepJournaled' BENCH_stats.json /tmp/bench_new.json

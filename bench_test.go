@@ -688,6 +688,60 @@ func BenchmarkOLSFit(b *testing.B) {
 	}
 }
 
+// BenchmarkBootstrapOLS is one target of the report's coefficient
+// confidence table (core.CoefficientCIs): four features plus the
+// intercept, B=100 at 90%, over the shared training corpus.
+func BenchmarkBootstrapOLS(b *testing.B) {
+	single, _ := benchCorpus(b)
+	xs := make([][]float64, len(single))
+	ys := make([]float64, len(single))
+	for i, s := range single {
+		xs[i] = []float64{s.VMSum.CPU, s.VMSum.Mem, s.VMSum.IO, s.VMSum.BW}
+		ys[i] = s.Dom0CPU
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := stats.BootstrapOLS(xs, ys, true, 100, 0.90, 99); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTrain and BenchmarkCompareOnWindow are the two fitting stages
+// of one BenchmarkServeRefit refit: the OLS challenger fit on a full
+// 512-sample single-VM window, and the drift rule's bootstrap (default
+// B=200) of that challenger against an incumbent on the same window.
+func BenchmarkTrain(b *testing.B) {
+	window := benchRefitSamples(512, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Train(window, nil, core.FitOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkCompareOnWindow(b *testing.B) {
+	window := benchRefitSamples(512, 1)
+	incumbent, err := core.Train(benchRefitSamples(512, 2), nil, core.FitOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	challenger, err := core.Train(window, nil, core.FitOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.CompareOnWindow(incumbent, challenger, window, core.DriftOptions{Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // benchLMSData slices a fixed-size LMS fitting problem out of the shared
 // training corpus.
 func benchLMSData(b *testing.B) ([][]float64, []float64) {

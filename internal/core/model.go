@@ -193,9 +193,17 @@ type Prediction struct {
 	PM units.Vector
 }
 
-// features extracts the regression features from a summed guest vector.
-func features(v units.Vector) []float64 {
-	return []float64{v.CPU, v.Mem, v.IO, v.BW}
+// featureRows extracts the regression features of every sample: one row
+// [CPU, Mem, IO, BW] per sample, all rows sharing one backing array.
+func featureRows(samples []Sample) [][]float64 {
+	back := make([]float64, 4*len(samples))
+	xs := make([][]float64, len(samples))
+	for i, s := range samples {
+		x := back[4*i : 4*i+4 : 4*i+4]
+		x[0], x[1], x[2], x[3] = s.VMSum.CPU, s.VMSum.Mem, s.VMSum.IO, s.VMSum.BW
+		xs[i] = x
+	}
+	return xs
 }
 
 // fitCoefficients runs the configured regression on pre-built feature rows
@@ -227,20 +235,37 @@ func fitCoefficients(xs [][]float64, ys []float64, opt FitOptions) ([]float64, e
 	return fit.Coef, nil
 }
 
-func fitRows(samples []Sample, ys func(Sample) float64, opt FitOptions) (Row, error) {
-	xs := make([][]float64, len(samples))
-	targets := make([]float64, len(samples))
-	for i, s := range samples {
-		xs[i] = features(s.VMSum)
-		targets[i] = ys(s)
+// fitTargets fits one coefficient row per target over samples. Every
+// target regresses on the same feature rows, so those are built once;
+// plain OLS also factors the design once (stats.FactorOLS) and solves it
+// per target, bit-identical to one OLS fit per target. LMS, ridge, and a
+// design FactorOLS rejects take one fit per target, which applies OLS's
+// ridge fallback and reports errors as "core: fitting <what><target>".
+func fitTargets(samples []Sample, opt FitOptions, what string) ([NumTargets]Row, error) {
+	var rows [NumTargets]Row
+	xs := featureRows(samples)
+	var shared *stats.OLSFactor
+	if opt.Method == MethodOLS && opt.Ridge == 0 {
+		shared, _ = stats.FactorOLS(xs, true) // nil on error: fit per target
 	}
-	coef, err := fitCoefficients(xs, targets, opt)
-	if err != nil {
-		return Row{}, err
+	ys := make([]float64, len(samples))
+	for _, t := range Targets() {
+		for i, s := range samples {
+			ys[i] = s.target(t)
+		}
+		var err error
+		if shared != nil {
+			err = shared.Solve(ys, rows[t][:])
+		} else {
+			var coef []float64
+			coef, err = fitCoefficients(xs, ys, opt)
+			copy(rows[t][:], coef)
+		}
+		if err != nil {
+			return rows, fmt.Errorf("core: fitting %s%v: %w", what, t, err)
+		}
 	}
-	var r Row
-	copy(r[:], coef)
-	return r, nil
+	return rows, nil
 }
 
 // TrainSingle fits the single-VM model (Eq. 1-2) from N=1 samples.
@@ -257,16 +282,11 @@ func TrainSingle(samples []Sample, opt FitOptions) (*Model, error) {
 			return nil, fmt.Errorf("core: TrainSingle: sample %d has N=%d, want 1", i, s.N)
 		}
 	}
-	m := &Model{}
-	for _, t := range Targets() {
-		t := t
-		row, err := fitRows(samples, func(s Sample) float64 { return s.target(t) }, opt)
-		if err != nil {
-			return nil, fmt.Errorf("core: fitting %v: %w", t, err)
-		}
-		m.A[t] = row
+	a, err := fitTargets(samples, opt, "")
+	if err != nil {
+		return nil, err
 	}
-	return m, nil
+	return &Model{A: a}, nil
 }
 
 // Train fits the full model: the single-VM matrix a from the N=1 samples
@@ -299,13 +319,8 @@ func Train(single, multi []Sample, opt FitOptions) (*Model, error) {
 		)
 		resid = append(resid, r)
 	}
-	for _, t := range Targets() {
-		t := t
-		row, err := fitRows(resid, func(s Sample) float64 { return s.target(t) }, opt)
-		if err != nil {
-			return nil, fmt.Errorf("core: fitting o for %v: %w", t, err)
-		}
-		m.O[t] = row
+	if m.O, err = fitTargets(resid, opt, "o for "); err != nil {
+		return nil, err
 	}
 	m.HasO = true
 	return m, nil
@@ -382,10 +397,7 @@ func CoefficientCIs(samples []Sample, b int, conf float64, seed int64) ([NumTarg
 	if len(samples) == 0 {
 		return out, errors.New("core: CoefficientCIs: no samples")
 	}
-	xs := make([][]float64, len(samples))
-	for i, s := range samples {
-		xs[i] = features(s.VMSum)
-	}
+	xs := featureRows(samples)
 	ys := make([]float64, len(samples))
 	for _, t := range Targets() {
 		for i, s := range samples {

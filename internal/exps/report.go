@@ -147,7 +147,8 @@ func FullReportContext(ctx context.Context, cfg ReportConfig) (string, error) {
 	}
 	b.WriteString("## Trace-driven prediction (Figures 7-9)\n\n")
 	b.WriteString("90th-percentile |p-m|/m errors in percent.\n\n```\n")
-	for fig, sets := range map[int]int{7: 1, 8: 2, 9: 3} {
+	for i, fig := range []int{7, 8, 9} { // figure order; Figure 7+i runs i+1 RUBiS sets
+		sets := i + 1
 		results, err := PredictionExperimentOpts(ctx, model, PredictionOptions{
 			Sets: sets, Duration: cfg.PredictionDuration,
 			Seed: cfg.Seed + int64(fig), WarmupSteps: cfg.WarmupSteps,

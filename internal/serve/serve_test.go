@@ -20,6 +20,17 @@ import (
 	"virtover/internal/scenario"
 )
 
+// newTestServer builds a server with NewServer, failing the test on a
+// configuration error.
+func newTestServer(t *testing.T, opt Options) *Server {
+	t.Helper()
+	s, err := NewServer(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 const fitSpec = `{"seed": 11, "samples": 2, "method": "ols"}`
 
 func estimateBody(seed int64) string {
@@ -100,7 +111,7 @@ func blockPool(t *testing.T, s *Server) (release func()) {
 // cache serves repeats, and the serve_* metrics are populated.
 func TestServeEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := New(Options{Workers: 4, Queue: 2, CacheSize: 8, Obs: reg})
+	s := newTestServer(t, Options{Workers: 4, Queue: 2, CacheSize: 8, Obs: reg})
 	defer func() { _ = s.Shutdown(context.Background()) }()
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -238,7 +249,7 @@ func TestServeEndToEnd(t *testing.T) {
 // TestServeFitDeterminism: the bytes served by /v1/fit are bit-identical
 // to a library fit of the same inputs written with SaveModel.
 func TestServeFitDeterminism(t *testing.T) {
-	s := New(Options{Workers: 2, Queue: 4})
+	s := newTestServer(t, Options{Workers: 2, Queue: 4})
 	defer func() { _ = s.Shutdown(context.Background()) }()
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -279,7 +290,7 @@ func TestServeFitDeterminism(t *testing.T) {
 // TestServeShutdownDrains: Shutdown rejects new requests with 503 but
 // waits for admitted work to finish.
 func TestServeShutdownDrains(t *testing.T) {
-	s := New(Options{Workers: 2, Queue: 2})
+	s := newTestServer(t, Options{Workers: 2, Queue: 2})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -324,7 +335,7 @@ func TestServeShutdownDrains(t *testing.T) {
 // TestServeBadRequests: malformed inputs answer 400 with field-naming
 // messages; none of them consume pool capacity.
 func TestServeBadRequests(t *testing.T) {
-	s := New(Options{Workers: 1, Queue: 1})
+	s := newTestServer(t, Options{Workers: 1, Queue: 1})
 	defer func() { _ = s.Shutdown(context.Background()) }()
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -365,7 +376,7 @@ func TestServeBadRequests(t *testing.T) {
 // TestServeScenarioRun: the service accepts the scenario envelope and
 // returns run averages.
 func TestServeScenarioRun(t *testing.T) {
-	s := New(Options{Workers: 2, Queue: 2})
+	s := newTestServer(t, Options{Workers: 2, Queue: 2})
 	defer func() { _ = s.Shutdown(context.Background()) }()
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -399,7 +410,7 @@ func TestServeScenarioRun(t *testing.T) {
 // fitCall without consuming queue or worker capacity.
 func TestServeFitCoalescing(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := New(Options{Workers: 1, Queue: 4, Obs: reg})
+	s := newTestServer(t, Options{Workers: 1, Queue: 4, Obs: reg})
 	defer func() { _ = s.Shutdown(context.Background()) }()
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -470,7 +481,7 @@ func TestServeFitCoalescing(t *testing.T) {
 // byte-identical to the library's RunContext on the same scenario.
 func TestServeScenarioFork(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := New(Options{Workers: 2, Queue: 2, Obs: reg})
+	s := newTestServer(t, Options{Workers: 2, Queue: 2, Obs: reg})
 	defer func() { _ = s.Shutdown(context.Background()) }()
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -558,7 +569,7 @@ func TestModelCacheLRU(t *testing.T) {
 // TestServeRequestTimeout: a deadline shorter than the run yields 504 and
 // the simulation aborts rather than running to completion.
 func TestServeRequestTimeout(t *testing.T) {
-	s := New(Options{Workers: 1, Queue: 1, RequestTimeout: time.Millisecond})
+	s := newTestServer(t, Options{Workers: 1, Queue: 1, RequestTimeout: time.Millisecond})
 	defer func() { _ = s.Shutdown(context.Background()) }()
 	ts := httptest.NewServer(s)
 	defer ts.Close()

@@ -22,6 +22,13 @@ type CoefCI struct {
 // selects 200 replicates. Replicates whose resample is degenerate (rank
 // deficient) are skipped; an error is returned when fewer than half
 // survive.
+//
+// A replicate needs only the coefficients: it factors its resampled
+// design into reused scratch and solves, and a design QR rejects takes
+// OLS's ridge fallback, so every replicate's coefficients are
+// bit-identical to OLS's on the same resample. With no feature columns
+// the design is the same column of ones in every resample, so it is
+// factored once and each replicate is a single solve.
 func BootstrapOLS(xs [][]float64, ys []float64, intercept bool, B int, conf float64, seed int64) (*CoefCI, error) {
 	if len(xs) != len(ys) {
 		return nil, fmt.Errorf("stats: BootstrapOLS got %d feature rows and %d targets", len(xs), len(ys))
@@ -40,38 +47,59 @@ func BootstrapOLS(xs [][]float64, ys []float64, intercept bool, B int, conf floa
 	n := len(xs)
 	rng := simrand.New(seed)
 
-	coefs := make([][]float64, 0, B)
-	rx := make([][]float64, n)
+	// OLS has validated xs, so every resample has the full fit's shape.
+	// An intercept-only design is the same column of ones in every
+	// resample: factor it once.
+	x := NewMatrix(n, p)
+	var q qrFactor
+	fixed := len(xs[0]) == 0
+	if fixed {
+		fillDesign(x, xs, intercept)
+		fixed = q.factor(x) == nil
+	}
+	coefs := make([]float64, 0, B*p) // replicate-major, p per replicate
+	var rx [][]float64               // resampled rows; a fixed design needs none
+	if !fixed {
+		rx = make([][]float64, n)
+	}
 	ry := make([]float64, n)
 	for b := 0; b < B; b++ {
 		for i := 0; i < n; i++ {
 			j := rng.Intn(n)
-			rx[i] = xs[j]
 			ry[i] = ys[j]
+			if !fixed {
+				rx[i] = xs[j]
+			}
 		}
-		fit, err := OLS(rx, ry, intercept)
-		if err != nil {
-			continue
+		if !fixed {
+			fillDesign(x, rx, intercept)
+			if q.factor(x) != nil {
+				// Rank deficient: OLS's ridge fallback, as a full fit takes.
+				if fit, err := OLS(rx, ry, intercept); err == nil {
+					coefs = append(coefs, fit.Coef...)
+				}
+				continue
+			}
 		}
-		c := make([]float64, p)
-		copy(c, fit.Coef)
-		coefs = append(coefs, c)
+		coefs = coefs[:len(coefs)+p]
+		q.solve(ry, coefs[len(coefs)-p:])
 	}
-	if len(coefs) < B/2 {
-		return nil, fmt.Errorf("stats: BootstrapOLS: only %d of %d replicates converged", len(coefs), B)
+	kept := len(coefs) / p
+	if kept < B/2 {
+		return nil, fmt.Errorf("stats: BootstrapOLS: only %d of %d replicates converged", kept, B)
 	}
 	out := &CoefCI{
 		Point: append([]float64(nil), full.Coef...),
 		Lo:    make([]float64, p),
 		Hi:    make([]float64, p),
 		Conf:  conf,
-		B:     len(coefs),
+		B:     kept,
 	}
 	alpha := (1 - conf) / 2
-	col := make([]float64, len(coefs))
+	col := make([]float64, kept)
 	for j := 0; j < p; j++ {
-		for i, c := range coefs {
-			col[i] = c[j]
+		for i := range col {
+			col[i] = coefs[i*p+j]
 		}
 		// col is scratch rebuilt per coefficient; the in-place selection
 		// skips Percentile's copy+sort on every replicate column.

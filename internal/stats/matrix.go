@@ -209,7 +209,8 @@ func solveLinearInPlace(a *Matrix, b []float64, x []float64) int {
 }
 
 // qrSolve solves the least-squares problem min ||A x - b||_2 using
-// Householder QR with column checks. A must have Rows >= Cols.
+// Householder QR with column checks. A must have Rows >= Cols. It is
+// factor then solve on a copy of A, so A is not modified.
 func qrSolve(a *Matrix, b []float64) ([]float64, error) {
 	m, n := a.Rows, a.Cols
 	if m < n {
@@ -218,10 +219,42 @@ func qrSolve(a *Matrix, b []float64) ([]float64, error) {
 	if len(b) != m {
 		return nil, fmt.Errorf("stats: qrSolve rhs length %d, want %d", len(b), m)
 	}
-	r := a.Clone()
-	y := make([]float64, m)
-	copy(y, b)
+	var q qrFactor
+	if err := q.factor(a.Clone()); err != nil {
+		return nil, err
+	}
+	x := make([]float64, n)
+	q.solve(b, x)
+	return x, nil
+}
 
+// qrFactor is a Householder QR factorisation of a least-squares design,
+// kept so that any number of right-hand sides can be solved against one
+// design. A reflector depends on the design alone, so applying the kept
+// reflectors to b repeats, operation for operation, what a one-pass
+// Householder solve does to b beside the design: each solution is
+// bit-identical to factoring the design afresh for that b. Reflector k
+// is column k of the design from the diagonal down, with only its head
+// changed; the factor leaves that column's tail in place as the
+// reflector's storage (R needs only the upper triangle) and keeps the
+// head apart. The buffers are reused across factor calls, so a caller
+// that keeps one qrFactor allocates on first use only.
+type qrFactor struct {
+	r      *Matrix   // R in the upper triangle, reflector tails below it
+	v0     []float64 // head of reflector k
+	vnorm2 []float64 // ||v_k||²; 0 marks a reflector the factor skipped
+	y      []float64 // solve scratch, Rows entries
+}
+
+// factor factors a in place; a must have Rows >= Cols and stays owned by
+// q until the next factor call. It fails on a design that qrSolve
+// rejects as rank deficient.
+func (q *qrFactor) factor(a *Matrix) error {
+	m, n := a.Rows, a.Cols
+	q.r = a
+	q.v0 = growFloats(q.v0, n)
+	q.vnorm2 = growFloats(q.vnorm2, n)
+	r := a
 	for k := 0; k < n; k++ {
 		// Householder vector for column k below the diagonal.
 		var norm float64
@@ -230,55 +263,97 @@ func qrSolve(a *Matrix, b []float64) ([]float64, error) {
 		}
 		norm = math.Sqrt(norm)
 		if norm < 1e-12 {
-			return nil, fmt.Errorf("stats: qrSolve: rank-deficient at column %d", k)
+			return fmt.Errorf("stats: qrSolve: rank-deficient at column %d", k)
 		}
 		if r.Data[k*n+k] > 0 {
 			norm = -norm
 		}
-		v := make([]float64, m-k)
-		for i := k; i < m; i++ {
-			v[i-k] = r.Data[i*n+k]
-		}
-		v[0] -= norm
+		// Sums start from +0 as a loop over the whole reflector would, so
+		// an all-zero sum keeps that sign of zero.
+		v0 := r.Data[k*n+k] - norm
 		var vnorm2 float64
-		for _, vi := range v {
-			vnorm2 += vi * vi
+		vnorm2 += v0 * v0
+		for i := k + 1; i < m; i++ {
+			vnorm2 += r.Data[i*n+k] * r.Data[i*n+k]
 		}
+		q.v0[k] = v0
 		if vnorm2 < 1e-24 {
+			q.vnorm2[k] = 0
 			continue
 		}
-		// Apply H = I - 2 v v^T / (v^T v) to R's trailing columns and to y.
+		q.vnorm2[k] = vnorm2
+		// Apply H = I - 2 v v^T / (v^T v) to R's trailing columns. Column
+		// k below the diagonal keeps the reflector's tail, not H's zeros.
 		for j := k; j < n; j++ {
 			var dot float64
-			for i := k; i < m; i++ {
-				dot += v[i-k] * r.Data[i*n+j]
+			dot += v0 * r.Data[k*n+j]
+			for i := k + 1; i < m; i++ {
+				dot += r.Data[i*n+k] * r.Data[i*n+j]
 			}
 			f := 2 * dot / vnorm2
-			for i := k; i < m; i++ {
-				r.Data[i*n+j] -= f * v[i-k]
+			r.Data[k*n+j] -= f * v0
+			if j == k {
+				continue
+			}
+			for i := k + 1; i < m; i++ {
+				r.Data[i*n+j] -= f * r.Data[i*n+k]
 			}
 		}
+	}
+	for i := n - 1; i >= 0; i-- {
+		if math.Abs(r.Data[i*n+i]) < 1e-12 {
+			return fmt.Errorf("stats: qrSolve: zero pivot at %d", i)
+		}
+	}
+	return nil
+}
+
+// solve writes the least-squares solution for right-hand side b
+// (len Rows) into x (len Cols): it applies the stored reflectors to a
+// copy of b in factor order, then back-substitutes on R.
+func (q *qrFactor) solve(b, x []float64) {
+	m, n := q.r.Rows, q.r.Cols
+	q.y = growFloats(q.y, m)
+	y := q.y
+	copy(y, b)
+	r := q.r
+	for k := 0; k < n; k++ {
+		vnorm2 := q.vnorm2[k]
+		if vnorm2 == 0 {
+			continue
+		}
+		v0 := q.v0[k]
 		var dot float64
-		for i := k; i < m; i++ {
-			dot += v[i-k] * y[i]
+		dot += v0 * y[k]
+		for i := k + 1; i < m; i++ {
+			dot += r.Data[i*n+k] * y[i]
 		}
 		f := 2 * dot / vnorm2
-		for i := k; i < m; i++ {
-			y[i] -= f * v[i-k]
+		y[k] -= f * v0
+		// Rows below the last reflector's diagonal feed no later
+		// reflector and no unknown.
+		if k == n-1 {
+			break
+		}
+		for i := k + 1; i < m; i++ {
+			y[i] -= f * r.Data[i*n+k]
 		}
 	}
 	// Back substitution on the upper-triangular leading n x n block.
-	x := make([]float64, n)
 	for i := n - 1; i >= 0; i-- {
 		s := y[i]
 		for j := i + 1; j < n; j++ {
 			s -= r.Data[i*n+j] * x[j]
 		}
-		d := r.Data[i*n+i]
-		if math.Abs(d) < 1e-12 {
-			return nil, fmt.Errorf("stats: qrSolve: zero pivot at %d", i)
-		}
-		x[i] = s / d
+		x[i] = s / r.Data[i*n+i]
 	}
-	return x, nil
+}
+
+// growFloats returns buf resliced to n entries, reallocating only when
+// its capacity is short.
+func growFloats(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
 }

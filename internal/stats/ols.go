@@ -56,21 +56,27 @@ func designMatrix(xs [][]float64, intercept bool) (*Matrix, error) {
 	if intercept {
 		cols++
 	}
-	m := NewMatrix(len(xs), cols)
 	for i, row := range xs {
 		if len(row) != p {
 			return nil, fmt.Errorf("stats: observation %d has %d features, want %d", i, len(row), p)
 		}
-		j := 0
-		if intercept {
-			m.SetAt(i, 0, 1)
-			j = 1
-		}
-		for k, v := range row {
-			m.SetAt(i, j+k, v)
-		}
 	}
+	m := NewMatrix(len(xs), cols)
+	fillDesign(m, xs, intercept)
 	return m, nil
+}
+
+// fillDesign writes the rows of xs into m, which must already have the
+// design's shape, with a leading 1 per row when intercept is set.
+func fillDesign(m *Matrix, xs [][]float64, intercept bool) {
+	for i, row := range xs {
+		d := m.Data[i*m.Cols : (i+1)*m.Cols]
+		if intercept {
+			d[0] = 1
+			d = d[1:]
+		}
+		copy(d, row)
+	}
 }
 
 func residualDiagnostics(f *Fit, xs [][]float64, ys []float64) {
@@ -122,6 +128,44 @@ func OLS(xs [][]float64, ys []float64, intercept bool) (*Fit, error) {
 	f := &Fit{Coef: beta, Intercept: intercept}
 	residualDiagnostics(f, xs, ys)
 	return f, nil
+}
+
+// OLSFactor is an OLS design factored once, so that every target that
+// shares the design is fitted for one solve instead of a whole fit.
+type OLSFactor struct {
+	q qrFactor
+}
+
+// FactorOLS builds the design of xs, with a leading column of ones when
+// intercept is set, and factors it. Solve then fits any target over that
+// design, bit-identical to OLS(xs, ys, intercept).Coef. It does not take
+// OLS's ridge fallback: a design with fewer rows than columns, or one QR
+// finds rank deficient, is an error, and the caller fits such a design's
+// targets with OLS.
+func FactorOLS(xs [][]float64, intercept bool) (*OLSFactor, error) {
+	x, err := designMatrix(xs, intercept)
+	if err != nil {
+		return nil, err
+	}
+	if x.Rows < x.Cols {
+		return nil, fmt.Errorf("stats: FactorOLS needs at least %d observations, got %d", x.Cols, x.Rows)
+	}
+	f := &OLSFactor{}
+	if err := f.q.factor(x); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// Solve writes the OLS coefficients of targets ys (one per design row)
+// into coef (one per design column, intercept first).
+func (f *OLSFactor) Solve(ys, coef []float64) error {
+	if len(ys) != f.q.r.Rows || len(coef) != f.q.r.Cols {
+		return fmt.Errorf("stats: OLSFactor.Solve got %d targets and %d coefficients for a %dx%d design",
+			len(ys), len(coef), f.q.r.Rows, f.q.r.Cols)
+	}
+	f.q.solve(ys, coef)
+	return nil
 }
 
 // ridgeNormalEquations solves (X^T X + lambda I) beta = X^T y. The tiny
