@@ -209,3 +209,27 @@ func TestCompareOverhead(t *testing.T) {
 		t.Error("malformed -overhead spec: want error")
 	}
 }
+
+// TestMedianMetrics: repeated -count lines fold to the per-metric median,
+// so one slow repeat cannot move the recorded number.
+func TestMedianMetrics(t *testing.T) {
+	var runs []map[string]float64
+	for _, line := range []string{
+		"BenchmarkMeter-2   1000   900 ns/op   0 B/op   0 allocs/op",
+		"BenchmarkMeter-2   1000   5000 ns/op   0 B/op   0 allocs/op",
+		"BenchmarkMeter-2   1000   1000 ns/op   0 B/op   2 allocs/op",
+	} {
+		m, name := parseBenchLine(line)
+		if name != "BenchmarkMeter" {
+			t.Fatalf("parsed name %q", name)
+		}
+		runs = append(runs, m)
+	}
+	got := medianMetrics(runs)
+	if got["ns/op"] != 1000 || got["allocs/op"] != 0 || got["gomaxprocs"] != 2 {
+		t.Errorf("median of three = %v, want ns/op 1000, allocs/op 0, gomaxprocs 2", got)
+	}
+	if got := medianMetrics(runs[:2]); got["ns/op"] != 2950 {
+		t.Errorf("median of two ns/op = %v, want the middle pair's mean 2950", got["ns/op"])
+	}
+}

@@ -13,7 +13,9 @@
 //	go test -run '^$' -bench . -benchmem . | benchjson -out BENCH_stats.json
 //	benchjson -compare old.json new.json    # delta table; exit 1 on regression
 //
-// With -count > 1 the last reported line per benchmark wins. The file
+// With -count > 1 each metric of a benchmark is the median over its
+// repeated lines, so repeats steady a number instead of replacing it. The
+// file
 // gives successive PRs a recorded baseline to diff against instead of
 // re-running historical commits; -compare does that diff, printing the
 // per-benchmark ns/op delta and exiting non-zero when any benchmark
@@ -31,6 +33,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -73,17 +76,21 @@ func main() {
 		return
 	}
 
-	results := map[string]map[string]float64{}
+	runs := map[string][]map[string]float64{}
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
 		fmt.Println(line)
 		if m, name := parseBenchLine(line); m != nil {
-			results[name] = m
+			runs[name] = append(runs[name], m)
 		}
 	}
 	app.Check(sc.Err())
+	results := make(map[string]map[string]float64, len(runs)+1)
+	for name, r := range runs {
+		results[name] = medianMetrics(r)
+	}
 	if len(results) == 0 {
 		app.Fatal("no benchmark lines found on stdin")
 	}
@@ -153,4 +160,23 @@ func parseBenchLine(line string) (map[string]float64, string) {
 		}
 	}
 	return m, name
+}
+
+// medianMetrics folds the repeated result lines of one benchmark (go test
+// -count N) into one metric map: each metric is the median of the values
+// reported for it, the mean of the middle two for an even count.
+func medianMetrics(runs []map[string]float64) map[string]float64 {
+	vals := map[string][]float64{}
+	for _, m := range runs {
+		for k, v := range m {
+			vals[k] = append(vals[k], v)
+		}
+	}
+	out := make(map[string]float64, len(vals))
+	for k, v := range vals {
+		slices.Sort(v)
+		n := len(v)
+		out[k] = (v[(n-1)/2] + v[n/2]) / 2
+	}
+	return out
 }
