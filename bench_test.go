@@ -617,11 +617,11 @@ func BenchmarkCampaignWarmStart(b *testing.B) {
 	})
 }
 
-// The Meter alone: one 4-guest PM group measured per iteration, fed
-// through the batch path the engine uses.
+// The Meter alone: one 4-guest PM group measured per iteration, delivered
+// as the one-shard step a serial engine delivers.
 func BenchmarkMeter(b *testing.B) {
 	var count sampling.Counter
-	m := monitor.NewMeter(monitor.DefaultNoise(), 7, &count)
+	m := monitor.NewMeter(monitor.DefaultNoise(), 7, sampling.NewSerial(count.Count))
 	batch := make([]sampling.Sample, 0, 7)
 	for v := 0; v < 4; v++ {
 		batch = append(batch, sampling.Sample{Time: 1, PMID: 0, PM: "A", VMID: v,
@@ -633,19 +633,25 @@ func BenchmarkMeter(b *testing.B) {
 		sampling.Sample{Time: 1, PMID: 0, PM: "A", VMID: -1, Domain: "hypervisor", Kind: sampling.KindHypervisor, Util: units.V(4, 0, 0, 0)},
 		sampling.Sample{Time: 1, PMID: 0, PM: "A", VMID: -1, Domain: "host", Kind: sampling.KindHost, Util: units.V(80, 800, 60, 2100)},
 	)
-	m.ConsumeBatch(batch) // warm the per-PM instruments and scratch
+	benchStep(m, batch) // warm the per-PM instruments and scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		batch[0].Time = float64(i + 2) // new step each iteration
-		for j := 1; j < len(batch); j++ {
-			batch[j].Time = batch[0].Time
+		for j := range batch {
+			batch[j].Time = float64(i + 2) // new step each iteration
 		}
-		m.ConsumeBatch(batch)
+		benchStep(m, batch)
 	}
 }
 
-// CSV trace writing: one 7-sample step batch per iteration through the
+// benchStep delivers batch to sink as one single-shard step.
+func benchStep(sink sampling.Sink, batch []sampling.Sample) {
+	sink.BeginStep(sampling.StepShape{Shards: 1, Time: batch[0].Time, MaxPMID: batch[0].PMID})
+	sink.ConsumeShard(0, batch)
+	sink.FinishStep()
+}
+
+// CSV trace writing: one 7-sample step per iteration through the
 // append-based row encoder.
 func BenchmarkCSVSink(b *testing.B) {
 	sink := trace.NewCSVSink(io.Discard)
@@ -657,7 +663,7 @@ func BenchmarkCSVSink(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink.ConsumeBatch(batch)
+		benchStep(sink, batch)
 	}
 	if err := sink.Flush(); err != nil {
 		b.Fatal(err)

@@ -81,27 +81,18 @@ func NewHotspotSink(ctl *HotspotController) *HotspotSink {
 	return &HotspotSink{ctl: ctl}
 }
 
-// Consume implements sampling.Sink over measured samples.
-func (h *HotspotSink) Consume(s sampling.Sample) { h.col.Consume(s) }
+// BeginStep implements sampling.Sink by delegating to the wrapped
+// collector: shards assemble their own PMs' rows in parallel and the
+// merge keeps Series (and hence Drain) the same at every shard count.
+func (h *HotspotSink) BeginStep(shape sampling.StepShape) { h.col.BeginStep(shape) }
 
-// ConsumeBatch implements sampling.BatchSink, taking each measured step in
-// one dispatch from the batched pipeline.
-func (h *HotspotSink) ConsumeBatch(batch []sampling.Sample) { h.col.ConsumeBatch(batch) }
-
-// BeginShardStep implements sampling.ShardedBatchSink by delegating to the
-// wrapped collector: shard workers assemble their own PMs' rows in
-// parallel and the merge keeps Series (and hence Drain) identical.
-func (h *HotspotSink) BeginShardStep(shape sampling.ShardShape) bool {
-	return h.col.BeginShardStep(shape)
-}
-
-// ConsumeShard implements sampling.ShardedBatchSink.
+// ConsumeShard implements sampling.Sink.
 func (h *HotspotSink) ConsumeShard(shard int, seg []sampling.Sample) {
 	h.col.ConsumeShard(shard, seg)
 }
 
-// FinishShardStep implements sampling.ShardedBatchSink.
-func (h *HotspotSink) FinishShardStep() { h.col.FinishShardStep() }
+// FinishStep implements sampling.Sink.
+func (h *HotspotSink) FinishStep() { h.col.FinishStep() }
 
 // Drain runs the controller over every step completed since the previous
 // Drain and returns the accumulated migration recommendations. Call it

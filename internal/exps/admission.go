@@ -82,19 +82,16 @@ func runAdmissionOnce(model *core.Model, cfg AdmissionConfig, policy cloudscale.
 
 	// Saturation accounting rides the engine's ground-truth sample stream:
 	// a stat sink tracks the host-CPU mean, a filtered counter the
-	// saturated seconds. One Fanout attachment keeps this a single batched
-	// dispatch per step (StatSink, Filter and Counter all have native
-	// ConsumeBatch paths), so the accounting adds no per-sample overhead to
-	// the dwell loop.
+	// saturated seconds, both behind one Fanout attachment.
 	hostCPU := sampling.NewStatSink(sampling.SelectKind(sampling.KindHost, units.CPU))
 	var over sampling.Counter
 	e.AttachSink(sampling.Fanout{
 		hostCPU,
-		sampling.Filter{
+		&sampling.Filter{
 			Keep: func(s sampling.Sample) bool {
 				return s.Kind == sampling.KindHost && s.Util.CPU > calib.TotalCapCPU-3
 			},
-			Next: &over,
+			Next: sampling.NewSerial(over.Count),
 		},
 	})
 

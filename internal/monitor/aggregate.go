@@ -15,18 +15,15 @@ import (
 // series. It is a sampling.Sink: attach it (behind a Meter) to the engine
 // to aggregate live, or feed it recorded measurements via Observe.
 //
-// It also implements sampling.ShardedBatchSink: since sharded segments are
-// PM-disjoint, each pmAgg is touched by exactly one worker and the
-// estimators fold in place with no synchronization. Only samples for PMs
-// without an estimator bundle yet (the first step of a campaign, or a PM
-// added mid-run) are staged per shard and folded at the merge, in shard
-// order — so estimator creation order, and every order-sensitive fold,
-// matches the serial path exactly.
+// Segments are PM-disjoint, so each pmAgg is touched by exactly one shard
+// and the estimators fold in place with no synchronization. Only samples
+// for PMs without an estimator bundle yet (the first step of a campaign,
+// or a PM added mid-run) are staged per shard and folded at the merge, in
+// shard order — so estimator creation order, and every order-sensitive
+// fold, is the same at every shard count.
 type StreamAggregator struct {
-	pms map[string]*pmAgg
-
-	pend   [][]sampling.Sample // per-shard samples awaiting a new pmAgg
-	shards int
+	pms  map[string]*pmAgg
+	pend [][]sampling.Sample // per-shard samples awaiting a new pmAgg
 }
 
 // MetricSummary is the exported snapshot of one metric's stream.
@@ -60,10 +57,10 @@ func (a *StreamAggregator) agg(pm string) *pmAgg {
 	return agg
 }
 
-// Consume implements sampling.Sink over measured samples: Dom0,
-// hypervisor, and host rows feed the per-PM streams (guest rows are
-// ignored — the host row already carries the indirect sums).
-func (a *StreamAggregator) Consume(s sampling.Sample) {
+// consume folds one measured sample: Dom0, hypervisor, and host rows feed
+// the per-PM streams (guest rows are ignored — the host row already
+// carries the indirect sums).
+func (a *StreamAggregator) consume(s sampling.Sample) {
 	switch s.Kind {
 	case sampling.KindDom0:
 		a.agg(s.PM).dom0CPU.Add(s.Util.CPU)
@@ -78,53 +75,22 @@ func (a *StreamAggregator) Consume(s sampling.Sample) {
 	}
 }
 
-// ConsumeBatch implements sampling.BatchSink: one dispatch per step, with
-// the per-PM estimator bundle looked up once per run of same-PM samples
-// (batches arrive grouped by PM, so that is one map probe per PM per
-// step).
-func (a *StreamAggregator) ConsumeBatch(batch []sampling.Sample) {
-	var agg *pmAgg
-	var pm string
-	for i := range batch {
-		s := &batch[i]
-		if s.Kind == sampling.KindGuest {
-			continue
-		}
-		if agg == nil || s.PM != pm {
-			pm = s.PM
-			agg = a.agg(pm)
-		}
-		switch s.Kind {
-		case sampling.KindDom0:
-			agg.dom0CPU.Add(s.Util.CPU)
-		case sampling.KindHypervisor:
-			agg.hypCPU.Add(s.Util.CPU)
-		case sampling.KindHost:
-			agg.pmCPU.Add(s.Util.CPU)
-			agg.pmMem.Add(s.Util.Mem)
-			agg.pmIO.Add(s.Util.IO)
-			agg.pmBW.Add(s.Util.BW)
-		}
+// BeginStep implements sampling.Sink.
+func (a *StreamAggregator) BeginStep(shape sampling.StepShape) {
+	for len(a.pend) < shape.Shards {
+		a.pend = append(a.pend, nil)
 	}
-}
-
-// BeginShardStep implements sampling.ShardedBatchSink.
-func (a *StreamAggregator) BeginShardStep(shape sampling.ShardShape) bool {
-	if len(a.pend) < shape.Shards {
-		pend := make([][]sampling.Sample, shape.Shards)
-		copy(pend, a.pend)
-		a.pend = pend
-	}
-	a.shards = shape.Shards
-	for s := 0; s < shape.Shards; s++ {
+	a.pend = a.pend[:shape.Shards]
+	for s := range a.pend {
 		a.pend[s] = a.pend[s][:0]
 	}
-	return true
 }
 
-// ConsumeShard implements sampling.ShardedBatchSink: known PMs fold into
-// their estimators right on the worker (the map is only read here —
-// estimator creation is deferred to the merge); unknown PMs are staged.
+// ConsumeShard implements sampling.Sink: known PMs fold into their
+// estimators right on the shard's goroutine (the map is only read here —
+// estimator creation is deferred to the merge); unknown PMs are staged. A
+// segment arrives grouped by PM, so the estimator bundle is looked up once
+// per PM.
 func (a *StreamAggregator) ConsumeShard(shard int, seg []sampling.Sample) {
 	var agg *pmAgg
 	var pm string
@@ -157,25 +123,25 @@ func (a *StreamAggregator) ConsumeShard(shard int, seg []sampling.Sample) {
 	}
 }
 
-// FinishShardStep implements sampling.ShardedBatchSink: staged samples of
-// newly seen PMs replay through the scalar path in shard order, creating
-// their estimators in PM order exactly as the serial step would.
-func (a *StreamAggregator) FinishShardStep() {
-	for s := 0; s < a.shards; s++ {
+// FinishStep implements sampling.Sink: staged samples of newly seen PMs
+// fold in shard order, creating their estimators in PM order at every
+// shard count.
+func (a *StreamAggregator) FinishStep() {
+	for s := range a.pend {
 		for i := range a.pend[s] {
-			a.Consume(a.pend[s][i])
+			a.consume(a.pend[s][i])
 		}
 		a.pend[s] = a.pend[s][:0]
 	}
 }
 
 // Observe folds one measurement into the stream by replaying it through
-// the sink interface.
+// the sink contract.
 func (a *StreamAggregator) Observe(m Measurement) {
 	PushSeries([][]Measurement{{m}}, a)
 }
 
-// ObserveSeries folds a whole recorded series through the sink interface.
+// ObserveSeries folds a whole recorded series through the sink contract.
 func (a *StreamAggregator) ObserveSeries(series [][]Measurement) {
 	PushSeries(series, a)
 }

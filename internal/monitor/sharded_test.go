@@ -50,8 +50,8 @@ func shardedCampaignCluster() (*xen.Cluster, []*xen.PM, xen.Calibration) {
 }
 
 // meteredRun drives the full measurement chain — engine → Decimate →
-// [Filter] → Meter → ShardedFanout{Collector, StreamAggregator, StatSink,
-// CDFSink, CSV-ish recorder} — at the given engine shard count and returns
+// [Filter] → Meter → Fanout{Collector, StreamAggregator, StatSink,
+// CDFSink, serial recorder} — at the given engine shard count and returns
 // every terminal's observable state.
 type meteredRunResult struct {
 	series   [][]Measurement
@@ -61,13 +61,18 @@ type meteredRunResult struct {
 	recorded []sampling.Sample
 }
 
-// recordCopySink is a strictly-serial BatchSink standing in for the CSV
-// trace writer: it copies every batch it is fed, in order.
-type recordCopySink struct{ samples []sampling.Sample }
+// recordSink is a strictly serial consumer standing in for the CSV trace
+// writer: through the serial adapter it copies every sample it is fed, in
+// emission order.
+type recordSink struct {
+	*sampling.Serial
+	samples []sampling.Sample
+}
 
-func (r *recordCopySink) Consume(s sampling.Sample) { r.samples = append(r.samples, s) }
-func (r *recordCopySink) ConsumeBatch(batch []sampling.Sample) {
-	r.samples = append(r.samples, batch...)
+func newRecordSink() *recordSink {
+	r := &recordSink{}
+	r.Serial = sampling.NewSerial(func(b []sampling.Sample) { r.samples = append(r.samples, b...) })
+	return r
 }
 
 func meteredRun(t *testing.T, shards int, monitorSubset bool, reg *obs.Registry) meteredRunResult {
@@ -90,8 +95,8 @@ func meteredRunTelemetry(t *testing.T, shards int, monitorSubset bool, reg *obs.
 	agg := NewStreamAggregator()
 	stat := sampling.NewStatSink(sampling.SelectKind(sampling.KindHost, units.CPU))
 	cdf := sampling.NewCDFSink(sampling.SelectKind(sampling.KindDom0, units.CPU))
-	rec := &recordCopySink{}
-	fan := sampling.NewShardedFanout(col, agg, stat, cdf, rec)
+	rec := newRecordSink()
+	fan := sampling.Fanout{col, agg, stat, cdf, rec}
 
 	sc := Script{IntervalSteps: 2, Samples: 15, Noise: DefaultNoise(), Seed: 23, Obs: reg}
 	monitored := pms
@@ -114,10 +119,10 @@ func meteredRunTelemetry(t *testing.T, shards int, monitorSubset bool, reg *obs.
 	}
 }
 
-// TestShardedPipelineMatchesSerial is the tentpole's safety net: the whole
-// measurement chain — meter, collector, stream aggregator, stat and CDF
-// sinks, and a strictly-serial recorder behind a ShardedFanout — must
-// produce bit-identical observable state at every engine shard count, with
+// TestShardedPipelineMatchesSerial: the whole measurement chain — meter,
+// collector, stream aggregator, stat and CDF sinks, and a strictly serial
+// recorder behind a Fanout — must produce bit-identical observable state
+// at every engine shard count (one shard being the serial engine), with
 // and without a monitored-PM filter in the chain.
 func TestShardedPipelineMatchesSerial(t *testing.T) {
 	for _, subset := range []bool{false, true} {
@@ -152,16 +157,15 @@ func TestShardedPipelineMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestShardedMeterActuallyShards proves the parallel path runs (rather
-// than silently falling back to the merged-batch path) and that engine
-// segments never defer: every kept step goes through the sharded meter
-// with zero irregular segments when all PMs are monitored.
+// TestShardedMeterActuallyShards proves engine segments are measured in
+// place on their shards and never defer: every kept step goes through the
+// meter with zero irregular segments when all PMs are monitored.
 func TestShardedMeterActuallyShards(t *testing.T) {
 	reg := obs.NewRegistry()
 	meteredRun(t, 8, false, reg)
 	shardedSteps := reg.Counter("meter_sharded_steps_total", "").Value()
 	if shardedSteps == 0 {
-		t.Fatal("sharded engine never drove the meter's sharded path")
+		t.Fatal("sharded engine never drove the meter")
 	}
 	if deferred := reg.Counter("meter_deferred_segments_total", "").Value(); deferred != 0 {
 		t.Fatalf("engine segments deferred %d times; want 0 (canonical groups)", deferred)
@@ -175,14 +179,15 @@ func TestShardedMeterActuallyShards(t *testing.T) {
 	reg2 := obs.NewRegistry()
 	meteredRun(t, 8, true, reg2)
 	if reg2.Counter("meter_sharded_steps_total", "").Value() == 0 {
-		t.Fatal("filtered sharded run never drove the meter's sharded path")
+		t.Fatal("filtered sharded run never drove the meter")
 	}
 }
 
-// TestShardedIrregularSegmentsDefer drives the meter's ConsumeShard with a
-// hand-built non-canonical segment — a filter dropped pm0's Dom0 row, so
-// shard 0's (still PM-disjoint) segment is not a run of complete canonical
-// groups — and checks the serial merge produces the exact serial stream.
+// TestShardedIrregularSegmentsDefer drives the meter with a hand-built step
+// in which a filter dropped one PM's Dom0 row, so that PM's segment is not
+// a run of complete canonical groups and defers to the merge. The measured
+// stream must be the same at one and two shards whichever PM lost the row:
+// a partial group never reads a neighbouring PM's Dom0.
 func TestShardedIrregularSegmentsDefer(t *testing.T) {
 	mk := func(pm int, t float64, dom0 bool) []sampling.Sample {
 		name := fmt.Sprintf("pm%d", pm)
@@ -197,25 +202,27 @@ func TestShardedIrregularSegmentsDefer(t *testing.T) {
 			sampling.Sample{Time: t, PMID: pm, PM: name, VMID: -1, Domain: sampling.LabelHost, Kind: sampling.KindHost, Util: units.V(41, 612, 10, 200)},
 		)
 	}
-	batch := append(append([]sampling.Sample{}, mk(0, 1, false)...), mk(1, 1, true)...)
-
-	serial := &recordCopySink{}
-	ms := NewMeter(DefaultNoise(), 77, serial)
-	ms.ConsumeBatch(batch)
-
-	sharded := &recordCopySink{}
-	mp := NewMeter(DefaultNoise(), 77, sharded)
-	if !mp.BeginShardStep(sampling.ShardShape{Shards: 2, Time: 1, MaxPMID: 1}) {
-		t.Fatal("meter declined a clean sharded step")
+	measure := func(segs ...[]sampling.Sample) []sampling.Sample {
+		rec := newRecordSink()
+		m := NewMeter(DefaultNoise(), 77, rec)
+		m.BeginStep(sampling.StepShape{Shards: len(segs), Time: 1, MaxPMID: 1})
+		for s, seg := range segs {
+			m.ConsumeShard(s, seg)
+		}
+		m.FinishStep()
+		return rec.samples
 	}
-	// pm0's Dom0-less segment defers; pm1's complete group measures in place.
-	mp.ConsumeShard(0, batch[:3])
-	mp.ConsumeShard(1, batch[3:])
-	mp.FinishShardStep()
-
-	if !reflect.DeepEqual(serial.samples, sharded.samples) {
-		t.Fatalf("deferred merge differs from serial:\n serial: %+v\n sharded: %+v",
-			serial.samples, sharded.samples)
+	for _, partial := range []int{0, 1} {
+		pm0, pm1 := mk(0, 1, partial != 0), mk(1, 1, partial != 1)
+		batch := append(append([]sampling.Sample{}, pm0...), pm1...)
+		one, two := measure(batch), measure(pm0, pm1)
+		if len(one) != 8 {
+			t.Fatalf("partial pm%d: measured %d samples, want two full groups", partial, len(one))
+		}
+		if !reflect.DeepEqual(one, two) {
+			t.Fatalf("partial pm%d: two-shard stream differs from one shard:\n one: %+v\n two: %+v",
+				partial, one, two)
+		}
 	}
 }
 

@@ -4,7 +4,7 @@ import "sync/atomic"
 
 // The engine's per-step shard phases, in execution order. Demand and the
 // exchange/resolve pair run on the shard workers; emit is the batch fill
-// and meter the sharded-sink consume (the meter kernel) that follow it.
+// and meter the sinks' per-shard consume (the meter kernel) that follow it.
 const (
 	PhaseDemand = iota
 	PhaseExchange

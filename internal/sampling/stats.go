@@ -97,14 +97,13 @@ func (t *Stat) Summary() Summary {
 	}
 }
 
-// StatSink streams one selected scalar into a Stat.
+// StatSink streams one selected scalar into a Stat. Shards stage their
+// selected values; the estimator itself is order-sensitive and only
+// touched by the merge.
 type StatSink struct {
 	sel  Selector
 	stat *Stat
-
-	// Per-shard staging buffers for sharded delivery (sharded.go).
-	shv    [][]float64
-	shards int
+	shv  [][]float64 // per-shard staged values
 }
 
 // NewStatSink builds a stat sink over sel.
@@ -112,18 +111,19 @@ func NewStatSink(sel Selector) *StatSink {
 	return &StatSink{sel: sel, stat: NewStat()}
 }
 
-// Consume implements Sink.
-func (s *StatSink) Consume(smp Sample) {
-	if x, ok := s.sel(smp); ok {
-		s.stat.Add(x)
-	}
+// BeginStep implements Sink.
+func (s *StatSink) BeginStep(shape StepShape) { s.shv = growShardBufs(s.shv, shape.Shards) }
+
+// ConsumeShard implements Sink.
+func (s *StatSink) ConsumeShard(shard int, seg []Sample) {
+	s.shv[shard] = appendSelected(s.shv[shard], s.sel, seg)
 }
 
-// ConsumeBatch implements BatchSink: one dispatch per step, selector per
-// sample.
-func (s *StatSink) ConsumeBatch(batch []Sample) {
-	for i := range batch {
-		if x, ok := s.sel(batch[i]); ok {
+// FinishStep implements Sink: folds the staged values in shard order,
+// which is the emission order.
+func (s *StatSink) FinishStep() {
+	for _, vals := range s.shv {
+		for _, x := range vals {
 			s.stat.Add(x)
 		}
 	}
@@ -138,10 +138,7 @@ func (s *StatSink) Summary() Summary { return s.stat.Summary() }
 type CDFSink struct {
 	sel    Selector
 	values []float64
-
-	// Per-shard staging buffers for sharded delivery (sharded.go).
-	shv    [][]float64
-	shards int
+	shv    [][]float64 // per-shard staged values
 }
 
 // NewCDFSink builds a CDF sink over sel.
@@ -149,19 +146,19 @@ func NewCDFSink(sel Selector) *CDFSink {
 	return &CDFSink{sel: sel}
 }
 
-// Consume implements Sink.
-func (c *CDFSink) Consume(smp Sample) {
-	if x, ok := c.sel(smp); ok {
-		c.values = append(c.values, x)
-	}
+// BeginStep implements Sink.
+func (c *CDFSink) BeginStep(shape StepShape) { c.shv = growShardBufs(c.shv, shape.Shards) }
+
+// ConsumeShard implements Sink.
+func (c *CDFSink) ConsumeShard(shard int, seg []Sample) {
+	c.shv[shard] = appendSelected(c.shv[shard], c.sel, seg)
 }
 
-// ConsumeBatch implements BatchSink.
-func (c *CDFSink) ConsumeBatch(batch []Sample) {
-	for i := range batch {
-		if x, ok := c.sel(batch[i]); ok {
-			c.values = append(c.values, x)
-		}
+// FinishStep implements Sink: appends the staged values in shard order,
+// preserving the emission order of Values.
+func (c *CDFSink) FinishStep() {
+	for _, vals := range c.shv {
+		c.values = append(c.values, vals...)
 	}
 }
 
@@ -170,3 +167,26 @@ func (c *CDFSink) Values() []float64 { return c.values }
 
 // CDF builds the empirical CDF of the retained observations.
 func (c *CDFSink) CDF() *stats.CDF { return stats.NewCDF(c.values) }
+
+// growShardBufs sizes a per-shard float buffer table for a new step:
+// `shards` buffers, each truncated to length zero with capacity kept.
+func growShardBufs(bufs [][]float64, shards int) [][]float64 {
+	for len(bufs) < shards {
+		bufs = append(bufs, nil)
+	}
+	bufs = bufs[:shards]
+	for i := range bufs {
+		bufs[i] = bufs[i][:0]
+	}
+	return bufs
+}
+
+// appendSelected appends the values sel extracts from seg to buf.
+func appendSelected(buf []float64, sel Selector, seg []Sample) []float64 {
+	for i := range seg {
+		if x, ok := sel(seg[i]); ok {
+			buf = append(buf, x)
+		}
+	}
+	return buf
+}

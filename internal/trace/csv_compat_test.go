@@ -41,7 +41,7 @@ func TestCSVSinkMatchesEncodingCSV(t *testing.T) {
 
 	var got bytes.Buffer
 	sink := NewCSVSink(&got)
-	sink.ConsumeBatch(samples)
+	writeStep(sink, samples)
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +87,18 @@ func (*shortErr) Error() string { return "short write" }
 func TestCSVSinkStickyError(t *testing.T) {
 	sink := NewCSVSink(&failWriter{n: 0})
 	big := make([]sampling.Sample, 4096) // overflow the bufio buffer
-	sink.ConsumeBatch(big)
+	writeStep(sink, big)
 	if err := sink.Flush(); err == nil {
 		t.Fatal("Flush must surface the write error")
 	}
 	if err := sink.Err(); err == nil {
 		t.Fatal("Err must surface the write error")
 	}
+}
+
+// writeStep feeds samples to sink as one single-shard step.
+func writeStep(sink *CSVSink, samples []sampling.Sample) {
+	sink.BeginStep(sampling.StepShape{Shards: 1})
+	sink.ConsumeShard(0, samples)
+	sink.FinishStep()
 }

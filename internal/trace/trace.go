@@ -34,10 +34,11 @@ const (
 )
 
 // CSVSink streams samples into long-form CSV, one row per sample, in
-// arrival order. Attached behind the monitor's Meter it records a live
-// campaign with no buffering and no sorting: the engine's emission order
-// is already deterministic. The first write emits the header; call Flush
-// (or check Err) when the stream ends.
+// emission order. It is a strictly serial consumer: the embedded
+// sampling.Serial adapter feeds it each step's segments in shard order at
+// FinishStep, so attached behind the monitor's Meter it records a live
+// campaign with no sorting at any shard count. The first write emits the
+// header; call Flush (or check Err) when the stream ends.
 //
 // Rows are encoded with strconv.AppendFloat into one reused []byte buffer
 // over a bufio.Writer — no per-field strings, no allocation in steady
@@ -45,6 +46,7 @@ const (
 // (same quoting rules, same 'g'/-1 float format, "\n" terminator); the
 // golden-trace fixture pins that equivalence.
 type CSVSink struct {
+	*sampling.Serial
 	w     *bufio.Writer
 	wrote bool
 	err   error
@@ -53,7 +55,9 @@ type CSVSink struct {
 
 // NewCSVSink builds a CSV-writing sink over w.
 func NewCSVSink(w io.Writer) *CSVSink {
-	return &CSVSink{w: bufio.NewWriterSize(w, 1<<15), row: make([]byte, 0, 160)}
+	c := &CSVSink{w: bufio.NewWriterSize(w, 1<<15), row: make([]byte, 0, 160)}
+	c.Serial = sampling.NewSerial(c.write)
+	return c
 }
 
 // fieldNeedsQuotes mirrors encoding/csv's rule for Comma=',': quote when
@@ -121,21 +125,9 @@ func (c *CSVSink) writeRow(s *sampling.Sample) {
 	}
 }
 
-// Consume implements sampling.Sink. The first error sticks; later samples
-// are dropped.
-func (c *CSVSink) Consume(s sampling.Sample) {
-	if c.err != nil {
-		return
-	}
-	c.header()
-	if c.err == nil {
-		c.writeRow(&s)
-	}
-}
-
-// ConsumeBatch implements sampling.BatchSink: one step's rows per
-// dispatch, all through the same reused buffer.
-func (c *CSVSink) ConsumeBatch(batch []sampling.Sample) {
+// write encodes one batch of rows through the reused buffer. The first
+// error sticks; later samples are dropped.
+func (c *CSVSink) write(batch []sampling.Sample) {
 	if c.err != nil {
 		return
 	}

@@ -32,10 +32,6 @@ type Engine struct {
 	shards     int
 	migrations []*liveMigration
 	sinks      []sampling.Sink
-	bsinks     []sampling.BatchSink
-	ssinks     []sampling.ShardedBatchSink // nil where the sink has no sharded path
-	ssinkOn    []bool                      // sink accepted the current sharded step
-	shardStep  bool                        // this step delivers shard segments from phaseEmit
 	lay        layout
 	pool       *shardPool
 	sc         scratch
@@ -77,7 +73,7 @@ type engineMetrics struct {
 
 // Instrument registers the engine's metrics in reg and turns on per-step
 // self-profiling: step count and wall time, the demand+exchange+resolve
-// span, emitted batch sizes, per-sink dispatch latency, credit-scheduler
+// span, emitted batch sizes, per-sink merge latency, credit-scheduler
 // saturation events, live-migration progress, and the sharded layout's
 // shape (active shard count, layout rebuilds). A nil registry leaves the
 // engine uninstrumented (the default). Multiple engines may share one
@@ -92,7 +88,7 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 		stepNanos:     reg.Histogram("engine_step_nanos", "wall time per engine step"),
 		resolveNanos:  reg.Histogram("engine_resolve_nanos", "wall time per step spent in demand/exchange/resolve phases"),
 		batchSamples:  reg.Histogram("engine_batch_samples", "samples emitted per step batch"),
-		dispatchNanos: reg.Histogram("engine_sink_dispatch_nanos", "wall time per sink batch dispatch"),
+		dispatchNanos: reg.Histogram("engine_sink_dispatch_nanos", "wall time per sink FinishStep (the ordered per-step merge)"),
 		saturated:     reg.Counter("engine_saturated_pm_steps_total", "PM-steps resolved under CPU saturation (water-fill)"),
 		migStarted:    reg.Counter("engine_migrations_started_total", "live migrations begun"),
 		migCompleted:  reg.Counter("engine_migrations_completed_total", "live migrations completed"),
@@ -211,31 +207,22 @@ func NewEngineWithOptions(cluster *Cluster, calib Calibration, seed int64, opts 
 func (e *Engine) Now() float64 { return e.now }
 
 // AttachSink subscribes s to the engine's per-step sample stream. Sinks are
-// invoked synchronously at the end of every step and must not mutate the
-// cluster topology from inside Consume; controllers buffer their actions
-// and apply them between Advance calls.
+// invoked synchronously during every step and must not mutate the cluster
+// topology; controllers buffer their actions and apply them between
+// Advance calls.
 //
-// Delivery is batched: each step the engine assembles one reusable
-// []Sample (arena order) and calls the sink's ConsumeBatch when it
-// implements sampling.BatchSink, falling back to a per-sample adapter
-// otherwise (resolved here, once, at attach time). The batch slice is the
-// engine's: sinks must not retain it across calls.
-//
-// A sink that also implements sampling.ShardedBatchSink and the engine is
-// stepping with Shards > 1 gets the sharded protocol instead: each worker
-// hands its own PM range's batch segment to the sink right after filling it
-// (the shard that steps a PM also meters it), and the sink merges the
-// per-shard partials in shard order at the end of the step — same bytes,
-// parallel wall clock. Sinks without the interface (or declining a step)
-// still receive the single merged ConsumeBatch.
+// Delivery follows the sampling package's step contract at every shard
+// count: BeginStep on the stepping goroutine, then each shard's worker
+// hands its own PM range's segment of the step batch to the sink right
+// after filling it (the shard that steps a PM also meters it), and
+// FinishStep merges the per-shard partials in shard order — same bytes,
+// parallel wall clock. A serial engine is the one-shard case. The batch
+// is the engine's: sinks must not retain it across steps.
 func (e *Engine) AttachSink(s sampling.Sink) {
 	if s == nil {
 		return
 	}
 	e.sinks = append(e.sinks, s)
-	e.bsinks = append(e.bsinks, sampling.AsBatch(s))
-	ss, _ := sampling.AsShardedBatch(s)
-	e.ssinks = append(e.ssinks, ss)
 }
 
 // DetachSink unsubscribes a previously attached sink (compared by
@@ -244,8 +231,6 @@ func (e *Engine) DetachSink(s sampling.Sink) {
 	for i, k := range e.sinks {
 		if k == s {
 			e.sinks = append(e.sinks[:i], e.sinks[i+1:]...)
-			e.bsinks = append(e.bsinks[:i], e.bsinks[i+1:]...)
-			e.ssinks = append(e.ssinks[:i], e.ssinks[i+1:]...)
 			return
 		}
 	}
@@ -386,26 +371,23 @@ func (e *Engine) step() {
 	}
 	e.now += e.Step
 
-	if len(e.bsinks) > 0 {
+	if len(e.sinks) > 0 {
 		// A migration completed this step moves its guest's row to the
 		// destination PM, so re-derive the layout before slicing the batch.
 		e.ensureLayout()
 		e.sc.batch = e.sc.batch[:e.lay.nBatch]
+		shape := sampling.StepShape{Shards: e.lay.shards, Time: e.now, MaxPMID: len(e.Cluster.PMs) - 1}
+		for _, k := range e.sinks {
+			k.BeginStep(shape)
+		}
 		if e.pool != nil {
-			e.shardStep = e.beginShardedSinks()
 			e.pool.begin(phaseEmit)
 			e.execPhase(0, phaseEmit)
 			e.pool.wait()
-			if e.shardStep {
-				e.dispatchMixed()
-			} else {
-				e.dispatch()
-			}
 		} else {
-			e.shardStep = false
 			e.execPhase(0, phaseEmit)
-			e.dispatch()
 		}
+		e.finishSinks()
 	}
 	e.obs.steps.Inc()
 	if instr {
@@ -729,10 +711,10 @@ func (e *Engine) resolvePM(p int) {
 // phaseEmit fills shard s's pre-sliced segment of the step batch (arena
 // order: per PM the guests, then Domain-0, hypervisor, host). Segments are
 // disjoint by construction, so shards write concurrently; the assembled
-// batch is identical to the serial append order at any shard count. On a
-// sharded-sink step the worker then hands its freshly filled segment to
-// every accepting sink while the columns are still cache-hot — the
-// affinity invariant: the shard that stepped a PM range also meters it.
+// batch is identical to the serial append order at any shard count. The
+// worker then hands its freshly filled segment to every sink while the
+// columns are still cache-hot — the affinity invariant: the shard that
+// stepped a PM range also meters it.
 func (e *Engine) phaseEmit(s int) {
 	prof := e.prof
 	var pt0 int64
@@ -764,9 +746,6 @@ func (e *Engine) phaseEmit(s int) {
 		prof.Add(s, obs.PhaseEmit, t1-pt0)
 		pt0 = t1
 	}
-	if !e.shardStep {
-		return
-	}
 	lo, hi := l.shardLo[s], l.shardHi[s]
 	var seg []sampling.Sample
 	if lo < hi {
@@ -777,78 +756,29 @@ func (e *Engine) phaseEmit(s int) {
 		}
 		seg = b[start:end]
 	}
-	for i, on := range e.ssinkOn {
-		if on {
-			e.ssinks[i].ConsumeShard(s, seg)
-		}
+	for _, k := range e.sinks {
+		k.ConsumeShard(s, seg)
 	}
-	// The shard that steps a PM range also meters it, so the sharded-sink
-	// consume above is the meter kernel's share of this shard's wall time.
+	// The shard that steps a PM range also meters it, so the sink consume
+	// above is the meter kernel's share of this shard's wall time.
 	if prof != nil {
 		prof.Add(s, obs.PhaseMeter, prof.Now()-pt0)
 	}
 }
 
-// beginShardedSinks opens the sharded step on every sink with a sharded
-// path, recording which accepted. It runs on the stepping goroutine before
-// the emit phase is dispatched, so the ssinkOn writes happen-before every
-// worker's ConsumeShard reads.
-func (e *Engine) beginShardedSinks() bool {
-	if cap(e.ssinkOn) < len(e.ssinks) {
-		e.ssinkOn = make([]bool, len(e.ssinks))
-	}
-	e.ssinkOn = e.ssinkOn[:len(e.ssinks)]
-	shape := sampling.ShardShape{
-		Shards:  e.lay.shards,
-		Time:    e.now,
-		MaxPMID: len(e.Cluster.PMs) - 1,
-	}
-	any := false
-	for i, ss := range e.ssinks {
-		on := ss != nil && ss.BeginShardStep(shape)
-		e.ssinkOn[i] = on
-		any = any || on
-	}
-	return any
-}
-
-// dispatchMixed finishes a sharded-sink step: in attach order, sinks that
-// accepted sharded delivery merge their per-shard partials, everyone else
-// gets the single merged batch — exactly dispatch() for them.
-func (e *Engine) dispatchMixed() {
-	b := e.sc.batch
-	e.obs.batchSamples.Observe(int64(len(b)))
-	instr := e.obs.reg.Enabled()
-	for i, k := range e.bsinks {
-		var d0 int64
-		if instr {
-			d0 = e.obs.reg.Now()
-		}
-		if e.ssinkOn[i] {
-			e.ssinks[i].FinishShardStep()
-		} else {
-			k.ConsumeBatch(b)
-		}
-		if instr {
-			e.obs.dispatchNanos.Observe(e.obs.reg.Now() - d0)
-		}
-	}
-}
-
-// dispatch delivers the assembled step batch to every attached sink, in
-// attach order, on the stepping goroutine.
-func (e *Engine) dispatch() {
-	b := e.sc.batch
-	e.obs.batchSamples.Observe(int64(len(b)))
-	if e.obs.reg.Enabled() {
-		for _, k := range e.bsinks {
-			d0 := e.obs.reg.Now()
-			k.ConsumeBatch(b)
-			e.obs.dispatchNanos.Observe(e.obs.reg.Now() - d0)
+// finishSinks closes the step on every sink, in attach order, on the
+// stepping goroutine: each merges its per-shard partials.
+func (e *Engine) finishSinks() {
+	e.obs.batchSamples.Observe(int64(len(e.sc.batch)))
+	if !e.obs.reg.Enabled() {
+		for _, k := range e.sinks {
+			k.FinishStep()
 		}
 		return
 	}
-	for _, k := range e.bsinks {
-		k.ConsumeBatch(b)
+	for _, k := range e.sinks {
+		d0 := e.obs.reg.Now()
+		k.FinishStep()
+		e.obs.dispatchNanos.Observe(e.obs.reg.Now() - d0)
 	}
 }

@@ -73,7 +73,7 @@ func TestForkedRunEquivalence(t *testing.T) {
 			e := NewEngineWithOptions(b.Cluster, DefaultCalibration(), seed, EngineOptions{Shards: shards})
 			defer e.Close()
 			e.Advance(warmup)
-			rec := &recordSink{}
+			rec := newRecordSink()
 			e.AttachSink(rec)
 			e.Advance(measure)
 			return rec.samples
@@ -100,7 +100,7 @@ func TestForkedRunEquivalence(t *testing.T) {
 			if data.(string) != "pm-00000" {
 				t.Fatalf("trial %d: Data payload %v not forwarded", trial, data)
 			}
-			rec := &recordSink{}
+			rec := newRecordSink()
 			e.AttachSink(rec)
 			e.Advance(measure)
 			got := rec.samples
@@ -148,7 +148,7 @@ func TestForkedRunEquivalenceMidMigration(t *testing.T) {
 	if err := b.Warm(e, warmup); err != nil {
 		t.Fatal(err)
 	}
-	rec := &recordSink{}
+	rec := newRecordSink()
 	e.AttachSink(rec)
 	e.Advance(measure)
 	e.Close()
@@ -160,7 +160,7 @@ func TestForkedRunEquivalenceMidMigration(t *testing.T) {
 			t.Fatal(err)
 		}
 		fe.SetShards(shards)
-		rec := &recordSink{}
+		rec := newRecordSink()
 		fe.AttachSink(rec)
 		fe.Advance(measure)
 		fe.Close()
@@ -271,7 +271,7 @@ func TestRestoreStateIntoAllocs(t *testing.T) {
 
 	// The restored engine must still continue correctly after the
 	// no-alloc restores.
-	rec := &recordSink{}
+	rec := newRecordSink()
 	e.AttachSink(rec)
 	e.Advance(5)
 	if len(rec.samples) == 0 {

@@ -2,17 +2,24 @@ package xen
 
 import (
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"virtover/internal/sampling"
 )
 
-// recordSink copies every emitted sample (the engine owns the batch slice,
-// so retaining requires a copy).
-type recordSink struct{ samples []sampling.Sample }
+// recordSink copies every emitted sample through the serial adapter (the
+// engine owns the batch slice, so retaining requires a copy).
+type recordSink struct {
+	*sampling.Serial
+	samples []sampling.Sample
+}
 
-func (r *recordSink) Consume(s sampling.Sample)        { r.samples = append(r.samples, s) }
-func (r *recordSink) ConsumeBatch(b []sampling.Sample) { r.samples = append(r.samples, b...) }
+func newRecordSink() *recordSink {
+	r := &recordSink{}
+	r.Serial = sampling.NewSerial(func(b []sampling.Sample) { r.samples = append(r.samples, b...) })
+	return r
+}
 
 // shardFixture builds a fleet that exercises every path the sharded step
 // must merge deterministically: all three flow routing classes, an idle
@@ -36,7 +43,7 @@ func runSharded(t *testing.T, shards, steps int) []sampling.Sample {
 	cl := shardFixture()
 	e := NewEngineWithOptions(cl, DefaultCalibration(), 42, EngineOptions{Shards: shards})
 	defer e.Close()
-	rec := &recordSink{}
+	rec := newRecordSink()
 	e.AttachSink(rec)
 	e.Advance(steps / 2)
 	if err := e.BeginLiveMigration("vm-000000", cl.PMs[5]); err != nil {
@@ -81,7 +88,7 @@ func TestShardDeterminismNoiseless(t *testing.T) {
 		calib.ProcessNoiseRel = 0
 		e := NewEngineWithOptions(cl, calib, 42, EngineOptions{Shards: shards})
 		defer e.Close()
-		rec := &recordSink{}
+		rec := newRecordSink()
 		e.AttachSink(rec)
 		e.Advance(12)
 		return rec.samples
@@ -102,7 +109,7 @@ func TestSetShardsMidRun(t *testing.T) {
 	cl := shardFixture()
 	e := NewEngineWithOptions(cl, DefaultCalibration(), 42, EngineOptions{Shards: 2})
 	defer e.Close()
-	rec := &recordSink{}
+	rec := newRecordSink()
 	e.AttachSink(rec)
 	e.Advance(8)
 	e.SetShards(5)
@@ -140,7 +147,7 @@ func TestEngineStateRoundTrip(t *testing.T) {
 	}
 	st := e.CaptureState()
 
-	rec := &recordSink{}
+	rec := newRecordSink()
 	e.AttachSink(rec)
 	e.Advance(15)
 	want := rec.samples
@@ -155,7 +162,7 @@ func TestEngineStateRoundTrip(t *testing.T) {
 		if e2.Now() != st.Now {
 			t.Fatalf("Now=%v after restore, want %v", e2.Now(), st.Now)
 		}
-		rec2 := &recordSink{}
+		rec2 := newRecordSink()
 		e2.AttachSink(rec2)
 		e2.Advance(15)
 		e2.Close()
@@ -196,13 +203,39 @@ func TestShardedStepAllocationFree(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("sharded step allocates %.1f times per step, want 0", avg)
 	}
-	if cnt.n == 0 {
+	if cnt.n.Load() == 0 {
 		t.Fatal("no batch delivered")
 	}
 }
 
 // countSink tallies delivered samples without retaining or allocating.
-type countSink struct{ n int }
+// Shards deliver concurrently, so it counts with an atomic.
+type countSink struct{ n atomic.Int64 }
 
-func (c *countSink) Consume(sampling.Sample)          {}
-func (c *countSink) ConsumeBatch(b []sampling.Sample) { c.n += len(b) }
+func (c *countSink) BeginStep(sampling.StepShape)              {}
+func (c *countSink) ConsumeShard(_ int, seg []sampling.Sample) { c.n.Add(int64(len(seg))) }
+func (c *countSink) FinishStep()                               {}
+
+// TestFilteredDecimationShardInvariant: a filter that drops whole steps in
+// front of Decimate(2) keeps the same steps at every shard count, because
+// the decimator counts simulation steps, not non-empty deliveries.
+func TestFilteredDecimationShardInvariant(t *testing.T) {
+	for _, shards := range []int{1, 2, 8} {
+		e := NewEngineWithOptions(shardFixture(), DefaultCalibration(), 42, EngineOptions{Shards: shards})
+		var times []float64
+		kept := sampling.NewSerial(func(b []sampling.Sample) {
+			if n := len(times); n == 0 || times[n-1] != b[0].Time {
+				times = append(times, b[0].Time)
+			}
+		})
+		e.AttachSink(&sampling.Filter{
+			Keep: func(s sampling.Sample) bool { return int(s.Time)%2 == 0 },
+			Next: sampling.Decimate(2, kept),
+		})
+		e.Advance(12)
+		e.Close()
+		if want := []float64{2, 4, 6, 8, 10, 12}; !reflect.DeepEqual(times, want) {
+			t.Fatalf("shards=%d: kept steps %v, want %v", shards, times, want)
+		}
+	}
+}

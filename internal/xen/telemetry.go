@@ -56,8 +56,8 @@ func (e *Engine) SetJournal(j *obs.Journal) {
 }
 
 // SetProfiler attaches p: the step's demand/exchange/resolve/emit phases
-// and the meter-kernel (sharded-sink consume) are timed per shard into p,
-// and the per-step imbalance gauges update when the engine is also
+// and the meter kernel (the sinks' per-shard consume) are timed per shard
+// into p, and the per-step imbalance gauges update when the engine is also
 // instrumented. Nil detaches.
 func (e *Engine) SetProfiler(p *obs.ShardProfiler) { e.prof = p }
 
@@ -146,7 +146,7 @@ func (e *Engine) finishProfileStep(instr bool) {
 func (e *Engine) finishJournalStep(jt0 int64) {
 	e.jw.dur += e.jr.Now() - jt0
 	e.jw.steps++
-	if len(e.bsinks) > 0 {
+	if len(e.sinks) > 0 {
 		e.jw.samples += e.lay.nBatch
 	}
 	if e.jw.steps < e.jwin {

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"virtover/internal/obs"
-	"virtover/internal/sampling"
 )
 
 func zeroJournal(w *bytes.Buffer, opts ...obs.JournalOption) *obs.Journal {
@@ -29,7 +28,7 @@ func TestEngineJournalStepEvents(t *testing.T) {
 	e := NewEngineWithOptions(cl, DefaultCalibration(), 42, EngineOptions{Shards: 2})
 	defer e.Close()
 	e.SetJournal(j)
-	rec := &recordSink{}
+	rec := newRecordSink()
 	e.AttachSink(rec)
 	e.Advance(12) // 2 full windows; the trailing partial window flushes on Close
 	if err := j.Flush(); err != nil {
@@ -112,17 +111,6 @@ func TestEngineJournalDefaults(t *testing.T) {
 	}
 }
 
-// shardedNopSink accepts the sharded protocol so profiled steps exercise
-// the meter (sharded-sink consume) phase. ConsumeShard runs concurrently,
-// so it counts with an atomic.
-type shardedNopSink struct{ segs atomic.Int64 }
-
-func (s *shardedNopSink) Consume(sampling.Sample)                 {}
-func (s *shardedNopSink) ConsumeBatch([]sampling.Sample)          {}
-func (s *shardedNopSink) BeginShardStep(sampling.ShardShape) bool { return true }
-func (s *shardedNopSink) ConsumeShard(int, []sampling.Sample)     { s.segs.Add(1) }
-func (s *shardedNopSink) FinishShardStep()                        {}
-
 // TestProfilerRecordsPhases: a profiled sharded run accumulates time into
 // every phase row it executed, and the engine's imbalance gauges move.
 func TestProfilerRecordsPhases(t *testing.T) {
@@ -134,11 +122,11 @@ func TestProfilerRecordsPhases(t *testing.T) {
 	e.SetProfiler(p)
 	reg := obs.NewRegistry()
 	e.Instrument(reg)
-	sink := &shardedNopSink{}
+	sink := &countSink{}
 	e.AttachSink(sink)
 	e.Advance(4)
-	if sink.segs.Load() == 0 {
-		t.Fatal("sharded sink never consumed a segment")
+	if sink.n.Load() == 0 {
+		t.Fatal("sink never consumed a segment")
 	}
 
 	pp := p.Snapshot()

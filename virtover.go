@@ -709,54 +709,30 @@ func ParseScenario(data []byte) (*Scenario, error) { return scenario.Parse(data)
 // The engine emits one ground-truth Sample per domain per step into
 // attached Sinks (Engine.AttachSink). MeasurementScript.Attach inserts the
 // decimate -> filter -> meter stages so downstream sinks see *measured*
-// samples at the script's interval. Delivery is batched: the engine hands
-// each step to BatchSink implementations as one reusable []Sample; plain
-// Sinks keep working via the PerSample adapter. See DESIGN.md for the
-// batch contract and a custom-sink walkthrough.
+// samples at the script's interval. Every Sink takes the stream one step
+// at a time — BeginStep, one ConsumeShard per engine shard (concurrently
+// on a sharded engine), then FinishStep, the ordered merge — and strictly
+// serial consumers attach through NewSerialSink. See DESIGN.md §13 for
+// the contract and §9 for a custom-sink walkthrough.
 
 // Sample is one per-domain utilization reading flowing through the
 // pipeline.
 type Sample = sampling.Sample
 
-// Sink consumes samples; implement it to observe a simulation online.
+// Sink consumes the sample stream one step at a time; implement it (or
+// wrap a function with NewSerialSink) to observe a simulation online.
 type Sink = sampling.Sink
 
-// BatchSink consumes one step's samples per dispatch. The batch slice is
-// reused by the producer and must not be retained.
-type BatchSink = sampling.BatchSink
+// StepShape describes one step delivery to a Sink.
+type StepShape = sampling.StepShape
 
-// PerSample adapts a scalar Sink to BatchSink by unrolling batches.
-type PerSample = sampling.PerSample
+// NewSerialSink wraps fn as a Sink, the one adapter for strictly serial
+// consumers: at the end of every step fn receives the step's samples in
+// emission order, on the stepping goroutine.
+func NewSerialSink(fn func([]Sample)) Sink { return sampling.NewSerial(fn) }
 
-// AsBatch returns a sink's native batch path, or a PerSample adapter.
-func AsBatch(s Sink) BatchSink { return sampling.AsBatch(s) }
-
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc = sampling.SinkFunc
-
-// ShardedBatchSink is the opt-in contract for sinks that consume a sharded
-// engine's step as concurrent PM-disjoint segments with a deterministic
-// ordered merge (BeginShardStep / ConsumeShard / FinishShardStep). The
-// built-in pipeline stages — SampleFilter (as a pointer), Decimate's
-// decimator, StatSink, CDF sinks, SampleCollector, StreamAggregator —
-// implement it; serial sinks keep working unchanged via the merged-batch
-// fallback. See DESIGN.md §13 for the protocol and the rules for writing
-// one.
-type ShardedBatchSink = sampling.ShardedBatchSink
-
-// ShardShape describes one sharded step to a ShardedBatchSink.
-type ShardShape = sampling.ShardShape
-
-// AsShardedBatch returns a sink's sharded path, if it has one.
-func AsShardedBatch(s Sink) (ShardedBatchSink, bool) { return sampling.AsShardedBatch(s) }
-
-// ShardedFanout delivers to several sinks like Fanout while propagating
-// sharded delivery to the members that support it; the rest are fed the
-// same stream serially at the merge.
-type ShardedFanout = sampling.ShardedFanout
-
-// NewShardedFanout builds a ShardedFanout over the given sinks.
-func NewShardedFanout(sinks ...Sink) *ShardedFanout { return sampling.NewShardedFanout(sinks...) }
+// Fanout delivers the stream to several sinks, in attach order.
+type Fanout = sampling.Fanout
 
 // SampleKind distinguishes guest, Domain-0, hypervisor and host samples.
 type SampleKind = sampling.Kind
@@ -769,7 +745,8 @@ const (
 	KindHost       = sampling.KindHost
 )
 
-// SampleFilter forwards only samples matching Keep.
+// SampleFilter forwards only samples matching Keep; attach it as a
+// pointer.
 type SampleFilter = sampling.Filter
 
 // Decimate forwards every n-th simulation step to next.

@@ -71,6 +71,22 @@ func TestFacadeScenario(t *testing.T) {
 	if math.Abs(sum[0].PMCPU.Mean-(25+17+5)) > 8 {
 		t.Errorf("mean PM CPU = %v, want ~47", sum[0].PMCPU.Mean)
 	}
+
+	// The same series through a facade Fanout with a serial function sink.
+	hosts := 0
+	virtover.PushSamples(series, virtover.Fanout{
+		virtover.NewStreamAggregator(),
+		virtover.NewSerialSink(func(batch []virtover.Sample) {
+			for _, s := range batch {
+				if s.Kind == virtover.KindHost {
+					hosts++
+				}
+			}
+		}),
+	})
+	if hosts != 10 {
+		t.Errorf("serial sink saw %d host rows, want 10", hosts)
+	}
 }
 
 func TestFacadeFigurePlot(t *testing.T) {
