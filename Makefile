@@ -36,8 +36,12 @@ race:
 # count; race-check that contract at several GOMAXPROCS values. OLS,
 # qrSolve, FactorOLS and BootstrapOLS (which factor each design once and
 # solve it many times, on one goroutine) promise bits identical to their
-# test-only reference implementations over a seeded corpus.
+# test-only reference implementations over a seeded corpus. simrand's
+# generator emits math/rand's stream bit for bit, with math/rand's draw
+# counts, over 1,020 seeds and every Source method, and its seeding step
+# matches Schrage's form on every input.
 determinism:
+	$(GO) test -race -run 'TestStreamMatchesMathRand|TestSetStateContinuation|TestSeedrandMatchesSchrage' ./internal/simrand/
 	$(GO) test -run TestLMSDeterminism -race -cpu 1,2,4 ./internal/stats/
 	$(GO) test -race -run 'TestOLSBitIdenticalToReference|TestFactorOLSBitIdenticalToReference|TestBootstrapOLSBitIdenticalToReference|TestBitIdentCorpusHitsReplicateFallback' ./internal/stats/
 
@@ -54,7 +58,7 @@ shard-determinism:
 # the golden metered-campaign fixture and the irregular-chain fixture
 # (shards {1,2,8}), race-checked across the GOMAXPROCS matrix.
 meter-determinism:
-	$(GO) test -race -cpu 1,2,8 -run 'TestShardedPipelineMatchesSerial|TestShardedMeterActuallyShards|TestShardedIrregularSegmentsDefer|TestMeteredCampaignGolden|TestIrregularChainsGolden' ./internal/monitor/
+	$(GO) test -race -cpu 1,2,8 -run 'TestShardedPipelineMatchesSerial|TestShardedMeterActuallyShards|TestShardedIrregularSegmentsDefer|TestCollectorHostlessGroupShardInvariant|TestMeteredCampaignGolden|TestIrregularChainsGolden' ./internal/monitor/
 	$(GO) test -race -cpu 1,2,8 ./internal/sampling/
 
 # Warm-start forking gate: a cell forked from a warmed prefix emits a
@@ -117,12 +121,14 @@ bench:
 # Re-run the metering-path and refit-path benchmarks (the refit and its
 # two fitting stages, plus the bootstrap the report's coefficient CIs run)
 # and diff them against the committed BENCH_stats.json baseline: a >20%
-# ns/op regression in any of them fails the target, as does the journaled step's overhead over
-# the observed step growing by >20 percentage points (the -overhead pair
-# is a within-file ratio, so it survives an _env mismatch). Comparable
-# absolute numbers need a comparable machine, so an _env mismatch with the
-# committed baseline skips the delta table (benchjson prints SKIPPED)
-# instead of reporting machine noise as a regression.
+# ns/op regression in any of them fails the target, as does an allocs/op
+# rise past max(2, 1%) of the baseline, and the journaled step's overhead
+# over the observed step growing by >20 percentage points (allocs/op and
+# the -overhead pair's within-file ratio are host-free, so they survive an
+# _env mismatch). Comparable absolute ns/op needs a comparable machine, so
+# an _env mismatch with the committed baseline skips the ns/op delta table
+# (benchjson prints SKIPPED) instead of reporting machine noise as a
+# regression.
 bench-compare:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineCampaignStep|BenchmarkCampaignStepMetered|BenchmarkCampaignWarmStart|BenchmarkEngineDatacenterMetered|BenchmarkMeter$$|BenchmarkServeRefit|BenchmarkTrain$$|BenchmarkCompareOnWindow|BenchmarkBootstrapOLS' -benchmem . | $(GO) run ./cmd/benchjson -out /tmp/bench_new.json
 	$(GO) run ./cmd/benchjson -compare -threshold 20 -skip-env-mismatch -overhead 'BenchmarkEngineCampaignStepObserved,BenchmarkEngineCampaignStepJournaled' BENCH_stats.json /tmp/bench_new.json

@@ -55,14 +55,52 @@ func envMismatch(oldF, newF benchFile) string {
 	return ""
 }
 
+// allocSlack is the allocs/op rise over the baseline that still passes:
+// max(allocSlackMin, allocSlackFrac of the baseline). Allocation counts do
+// not depend on host speed, but a benchmark that runs few iterations
+// amortizes its set-up differently from run to run (BenchmarkServeRefit:
+// 40,343 and 40,346 against a recorded 40,345).
+const (
+	allocSlackMin  = 2
+	allocSlackFrac = 0.01
+)
+
+// compareAllocs gates allocs/op, which is host-free: it returns the
+// benchmarks whose allocs/op rose past the allowance, and writes a line to
+// w for every benchmark whose count changed.
+func compareAllocs(oldF, newF benchFile, w io.Writer) []string {
+	names := make([]string, 0, len(oldF))
+	for n := range oldF {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	var regressed []string
+	for _, n := range names {
+		o, oldOK := oldF[n]["allocs/op"]
+		nw, newOK := newF[n]["allocs/op"]
+		if !oldOK || !newOK || nw == o {
+			continue
+		}
+		mark := ""
+		if nw-o > math.Max(allocSlackMin, allocSlackFrac*o) {
+			mark = "  REGRESSED"
+			regressed = append(regressed, n+" (allocs/op)")
+		}
+		fmt.Fprintf(w, "allocs/op %s: %g -> %g%s\n", n, o, nw, mark)
+	}
+	return regressed
+}
+
 // compareFiles diffs two benchjson files and writes a per-benchmark ns/op
 // delta table to w. It returns the names of benchmarks whose ns/op
-// regressed by more than thresholdPct percent. Benchmarks present in only
-// one file are listed but never count as regressions (the suite grew or
-// shrank; neither is a perf fault). Files recorded under different
-// parallelism environments (per their _env entries) are refused — the
-// delta would measure the machines, not the code — unless skipEnvMismatch
-// is set, which reports the skip on w and succeeds without diffing.
+// regressed by more than thresholdPct percent, and of those whose
+// allocs/op rose past the fixed allowance (compareAllocs). Benchmarks
+// present in only one file are listed but never count as regressions (the
+// suite grew or shrank; neither is a perf fault). Files recorded under
+// different parallelism environments (per their _env entries) are refused
+// — the ns/op delta would measure the machines, not the code — unless
+// skipEnvMismatch is set, which reports the skip on w and gates allocs/op
+// alone.
 func compareFiles(oldPath, newPath string, thresholdPct float64, skipEnvMismatch bool, w io.Writer) ([]string, error) {
 	oldF, err := readBenchFile(oldPath)
 	if err != nil {
@@ -74,8 +112,8 @@ func compareFiles(oldPath, newPath string, thresholdPct float64, skipEnvMismatch
 	}
 	if diff := envMismatch(oldF, newF); diff != "" {
 		if skipEnvMismatch {
-			fmt.Fprintf(w, "SKIPPED: environments differ (%s); no comparison performed\n", diff)
-			return nil, nil
+			fmt.Fprintf(w, "SKIPPED: environments differ (%s); no ns/op comparison performed\n", diff)
+			return compareAllocs(oldF, newF, w), nil
 		}
 		return nil, fmt.Errorf("refusing to compare: %s and %s were recorded under different environments (%s); re-record the baseline on this machine or pass -skip-env-mismatch",
 			oldPath, newPath, diff)
@@ -118,7 +156,7 @@ func compareFiles(oldPath, newPath string, thresholdPct float64, skipEnvMismatch
 			fmt.Fprintf(w, "%-44s %14.1f %14.1f %+8.1f%%%s\n", n, o, nw, delta, mark)
 		}
 	}
-	return regressed, nil
+	return append(regressed, compareAllocs(oldF, newF, w)...), nil
 }
 
 // overheadPct returns the derived benchmark's ns/op overhead over base

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -207,6 +208,59 @@ func TestCompareOverhead(t *testing.T) {
 	// A malformed spec is an error.
 	if _, err := compareOverhead(oldPath, newPath, "justone", 20, &out); err == nil {
 		t.Error("malformed -overhead spec: want error")
+	}
+}
+
+// TestCompareAllocs: allocs/op fails past max(2, 1%) of the baseline,
+// whatever the ns/op delta, and also when the environments differ.
+func TestCompareAllocs(t *testing.T) {
+	dir := t.TempDir()
+	oldPath := writeJSON(t, dir, "old.json", `{
+		"_env":            {"gomaxprocs": 2, "numcpu": 2},
+		"BenchmarkZero":   {"ns/op": 100, "allocs/op": 0},
+		"BenchmarkFew":    {"ns/op": 100, "allocs/op": 15},
+		"BenchmarkMany":   {"ns/op": 100, "allocs/op": 40345},
+		"BenchmarkFewer":  {"ns/op": 100, "allocs/op": 41},
+		"BenchmarkNoMem":  {"ns/op": 100}
+	}`)
+	newPath := writeJSON(t, dir, "new.json", `{
+		"_env":            {"gomaxprocs": 2, "numcpu": 2},
+		"BenchmarkZero":   {"ns/op": 100, "allocs/op": 2},
+		"BenchmarkFew":    {"ns/op": 100, "allocs/op": 18},
+		"BenchmarkMany":   {"ns/op": 100, "allocs/op": 40748},
+		"BenchmarkFewer":  {"ns/op": 100, "allocs/op": 30},
+		"BenchmarkNoMem":  {"ns/op": 100, "allocs/op": 9}
+	}`)
+	var out strings.Builder
+	regressed, err := compareFiles(oldPath, newPath, 20, false, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Zero +2 and Many +403 (1% is 403.45) are inside the allowance; Few +3
+	// is not; a drop and a baseline without allocs/op never fail.
+	if want := []string{"BenchmarkFew (allocs/op)"}; !reflect.DeepEqual(regressed, want) {
+		t.Errorf("regressed = %v, want %v\n%s", regressed, want, out.String())
+	}
+	if !strings.Contains(out.String(), "allocs/op BenchmarkFew: 15 -> 18  REGRESSED") {
+		t.Errorf("output missing the allocs/op regression line:\n%s", out.String())
+	}
+
+	// One more alloc on Many is past 1%; the gate still runs when the
+	// ns/op table is skipped for an environment mismatch.
+	otherEnv := writeJSON(t, dir, "other.json", `{
+		"_env":            {"gomaxprocs": 8, "numcpu": 8},
+		"BenchmarkMany":   {"ns/op": 9000, "allocs/op": 40749}
+	}`)
+	out.Reset()
+	regressed, err = compareFiles(oldPath, otherEnv, 20, true, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"BenchmarkMany (allocs/op)"}; !reflect.DeepEqual(regressed, want) {
+		t.Errorf("env mismatch: regressed = %v, want %v\n%s", regressed, want, out.String())
+	}
+	if !strings.Contains(out.String(), "SKIPPED") {
+		t.Errorf("env mismatch output missing SKIPPED:\n%s", out.String())
 	}
 }
 

@@ -19,11 +19,12 @@
 // gives successive PRs a recorded baseline to diff against instead of
 // re-running historical commits; -compare does that diff, printing the
 // per-benchmark ns/op delta and exiting non-zero when any benchmark
-// regressed past -threshold percent. Files recorded under different
-// parallelism environments (per their "_env" entries) refuse to diff —
-// cross-machine ns/op deltas are noise, not regressions; pass
-// -skip-env-mismatch to turn that refusal into a no-op success (for CI
-// fleets with heterogeneous runners).
+// regressed past -threshold percent, or when its allocs/op rose by more
+// than max(2, 1%) — a host-free number, gated whatever the environment.
+// Files recorded under different parallelism environments (per their
+// "_env" entries) refuse to diff — cross-machine ns/op deltas are noise,
+// not regressions; pass -skip-env-mismatch to skip the ns/op table instead
+// (for CI fleets with heterogeneous runners).
 package main
 
 import (
@@ -70,8 +71,8 @@ func main() {
 			regressed = append(regressed, more...)
 		}
 		if len(regressed) > 0 {
-			app.Fatalf("%d benchmark(s) regressed more than %.0f%% in ns/op: %s",
-				len(regressed), *threshold, strings.Join(regressed, ", "))
+			app.Fatalf("%d regression(s) (ns/op past %.0f%%, or allocs/op past max(%d, %.0f%%)): %s",
+				len(regressed), *threshold, allocSlackMin, 100*allocSlackFrac, strings.Join(regressed, ", "))
 		}
 		return
 	}

@@ -146,14 +146,18 @@ func (m *Meter) instrumentsFor(pmID int) *instruments {
 // consume is the scalar state machine that replays deferred segments:
 // guests, Dom0 and hypervisor samples are buffered, and the group's host
 // sample triggers the synchronized multi-tool reading into sc. A group
-// starts clean, so a row a filter dropped reads as zero rather than as a
-// neighbouring PM's.
+// starts clean, so a Dom0 or hypervisor row a filter dropped reads as zero
+// rather than as a neighbouring PM's, and is emitted labelled as its
+// group's row (the group's time and PM, VMID -1, its own kind and domain).
 func (m *Meter) consume(s sampling.Sample, sc *meterScratch) {
 	if !m.started || s.PMID != m.curPM || s.Time != m.curTime {
 		m.started = true
 		m.curPM, m.curTime = s.PMID, s.Time
 		m.guests = m.guests[:0]
-		m.dom0, m.hyp = sampling.Sample{}, sampling.Sample{}
+		m.dom0 = sampling.Sample{Time: s.Time, PMID: s.PMID, PM: s.PM, VMID: -1,
+			Domain: sampling.LabelDom0, Kind: sampling.KindDom0}
+		m.hyp = sampling.Sample{Time: s.Time, PMID: s.PMID, PM: s.PM, VMID: -1,
+			Domain: sampling.LabelHypervisor, Kind: sampling.KindHypervisor}
 		m.open = false
 	}
 	switch s.Kind {
@@ -355,6 +359,7 @@ type Collector struct {
 	series  [][]Measurement
 	row     []Measurement
 	cur     Measurement
+	curPM   int // PMID of the open group
 	open    bool
 	curTime float64
 	started bool
@@ -387,15 +392,18 @@ func (c *Collector) flushRow() {
 	c.row = nil
 }
 
-// consume is the scalar state machine that replays deferred segments.
+// consume is the scalar state machine that replays deferred segments. A
+// sample of another PM or time starts a new group, as in the Meter's
+// replay; a group that ends without its host row yields no Measurement.
 func (c *Collector) consume(s sampling.Sample) {
 	if c.started && s.Time != c.curTime {
 		c.flushRow()
 	}
 	c.started = true
 	c.curTime = s.Time
-	if !c.open {
+	if !c.open || s.PMID != c.curPM || s.Time != c.cur.Time {
 		c.cur = Measurement{Time: s.Time, PM: s.PM, VMs: make(map[string]units.Vector, c.guestHint)}
+		c.curPM = s.PMID
 		c.open = true
 	}
 	switch s.Kind {

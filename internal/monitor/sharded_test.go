@@ -187,7 +187,8 @@ func TestShardedMeterActuallyShards(t *testing.T) {
 // in which a filter dropped one PM's Dom0 row, so that PM's segment is not
 // a run of complete canonical groups and defers to the merge. The measured
 // stream must be the same at one and two shards whichever PM lost the row:
-// a partial group never reads a neighbouring PM's Dom0.
+// a partial group never reads a neighbouring PM's Dom0, and the Dom0 row
+// it emits in place of the dropped one is labelled as that PM's.
 func TestShardedIrregularSegmentsDefer(t *testing.T) {
 	mk := func(pm int, t float64, dom0 bool) []sampling.Sample {
 		name := fmt.Sprintf("pm%d", pm)
@@ -222,6 +223,66 @@ func TestShardedIrregularSegmentsDefer(t *testing.T) {
 		if !reflect.DeepEqual(one, two) {
 			t.Fatalf("partial pm%d: two-shard stream differs from one shard:\n one: %+v\n two: %+v",
 				partial, one, two)
+		}
+		// Every emitted row, the filled-in Dom0 row included, carries its
+		// group's PM and time and its own kind and label.
+		kinds := []sampling.Kind{sampling.KindGuest, sampling.KindDom0, sampling.KindHypervisor, sampling.KindHost}
+		labels := []string{"g0", sampling.LabelDom0, sampling.LabelHypervisor, sampling.LabelHost}
+		for i, s := range one {
+			pm, k := i/4, i%4
+			if s.Time != 1 || s.PMID != pm || s.PM != fmt.Sprintf("pm%d", pm) ||
+				s.Kind != kinds[k] || s.Domain != labels[k] || (k > 0 && s.VMID != -1) {
+				t.Errorf("partial pm%d: row %d = %+v, want pm%d's %s row at time 1", partial, i, s, pm, kinds[k])
+			}
+		}
+	}
+}
+
+// TestCollectorHostlessGroupShardInvariant feeds the collector a step in
+// which a filter dropped pm0's host row, then a complete step. The group
+// without its host row must yield no Measurement and must not merge into
+// pm1's row, at one shard (one irregular segment) and at two (an irregular
+// and a canonical segment) alike.
+func TestCollectorHostlessGroupShardInvariant(t *testing.T) {
+	group := func(pm int, tm float64, host bool) []sampling.Sample {
+		name := fmt.Sprintf("pm%d", pm)
+		out := []sampling.Sample{
+			{Time: tm, PMID: pm, PM: name, VMID: pm, Domain: fmt.Sprintf("g%d", pm), Kind: sampling.KindGuest, Util: units.V(30, 100, 10, 200)},
+			{Time: tm, PMID: pm, PM: name, VMID: -1, Domain: sampling.LabelDom0, Kind: sampling.KindDom0, Util: units.V(8+float64(pm), 512, 0, 0)},
+			{Time: tm, PMID: pm, PM: name, VMID: -1, Domain: sampling.LabelHypervisor, Kind: sampling.KindHypervisor, Util: units.V(3, 0, 0, 0)},
+		}
+		if host {
+			out = append(out, sampling.Sample{Time: tm, PMID: pm, PM: name, VMID: -1, Domain: sampling.LabelHost, Kind: sampling.KindHost, Util: units.V(41, 612, 10, 200)})
+		}
+		return out
+	}
+	collect := func(shards int) [][]Measurement {
+		c := NewCollector()
+		for step, hostless := range []bool{true, false} {
+			tm := float64(step + 1)
+			segs := [][]sampling.Sample{group(0, tm, !hostless), group(1, tm, true)}
+			if shards == 1 {
+				segs = [][]sampling.Sample{append(segs[0], segs[1]...)}
+			}
+			c.BeginStep(sampling.StepShape{Shards: shards, Time: tm, MaxPMID: 1})
+			for s, seg := range segs {
+				c.ConsumeShard(s, seg)
+			}
+			c.FinishStep()
+		}
+		return c.Series()
+	}
+	want := [][]Measurement{
+		{{Time: 1, PM: "pm1", VMs: map[string]units.Vector{"g1": units.V(30, 100, 10, 200)},
+			Dom0: units.V(9, 512, 0, 0), HypervisorCPU: 3, Host: units.V(41, 612, 10, 200)}},
+		{{Time: 2, PM: "pm0", VMs: map[string]units.Vector{"g0": units.V(30, 100, 10, 200)},
+			Dom0: units.V(8, 512, 0, 0), HypervisorCPU: 3, Host: units.V(41, 612, 10, 200)},
+			{Time: 2, PM: "pm1", VMs: map[string]units.Vector{"g1": units.V(30, 100, 10, 200)},
+				Dom0: units.V(9, 512, 0, 0), HypervisorCPU: 3, Host: units.V(41, 612, 10, 200)}},
+	}
+	for _, shards := range []int{1, 2} {
+		if got := collect(shards); !reflect.DeepEqual(got, want) {
+			t.Errorf("shards=%d: series\n got %+v\nwant %+v", shards, got, want)
 		}
 	}
 }

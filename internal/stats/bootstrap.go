@@ -63,11 +63,14 @@ func BootstrapOLS(xs [][]float64, ys []float64, intercept bool, B int, conf floa
 		rx = make([][]float64, n)
 	}
 	ry := make([]float64, n)
+	idx := make([]int, n) // one replicate's resample, drawn as a batch
 	for b := 0; b < B; b++ {
-		for i := 0; i < n; i++ {
-			j := rng.Intn(n)
+		rng.FillIntn(idx, n)
+		for i, j := range idx {
 			ry[i] = ys[j]
-			if !fixed {
+		}
+		if !fixed {
+			for i, j := range idx {
 				rx[i] = xs[j]
 			}
 		}
