@@ -36,14 +36,22 @@ race:
 # count; race-check that contract at several GOMAXPROCS values. OLS,
 # qrSolve, FactorOLS and BootstrapOLS (which factor each design once and
 # solve it many times, on one goroutine) promise bits identical to their
-# test-only reference implementations over a seeded corpus. simrand's
-# generator emits math/rand's stream bit for bit, with math/rand's draw
-# counts, over 1,020 seeds and every Source method, and its seeding step
-# matches Schrage's form on every input.
+# test-only reference implementations over a seeded corpus, as do FFT,
+# PowerSpectrum and DominantPeriod (twiddle tables, in-place transform).
+# simrand's generator emits math/rand's stream bit for bit, with
+# math/rand's draw counts, over 1,020 seeds and every Source method, and
+# its seeding step matches Schrage's form on every input. The report's
+# fan-outs promise the serial bits at every GOMAXPROCS: CoefficientCIs
+# (one goroutine per target) and HeteroCorpus (one job per campaign).
+# The seed-1 paper-size report must equal the committed REPORT.md.
 determinism:
 	$(GO) test -race -run 'TestStreamMatchesMathRand|TestSetStateContinuation|TestSeedrandMatchesSchrage' ./internal/simrand/
 	$(GO) test -run TestLMSDeterminism -race -cpu 1,2,4 ./internal/stats/
 	$(GO) test -race -run 'TestOLSBitIdenticalToReference|TestFactorOLSBitIdenticalToReference|TestBootstrapOLSBitIdenticalToReference|TestBitIdentCorpusHitsReplicateFallback' ./internal/stats/
+	$(GO) test -race -cpu 1,2,8 -run 'TestFFTBitIdenticalToReference|TestDominantPeriodBitIdenticalToReference' ./internal/stats/
+	$(GO) test -race -cpu 1,2,8 -run TestCoefficientCIsMatchesPerTargetBootstrap ./internal/core/
+	$(GO) test -race -cpu 1,2,8 -run TestHeteroCorpusMatchesSerial ./internal/exps/
+	$(GO) test -race -cpu 1,2 -run TestReportGolden .
 
 # The sharded engine promises byte-identical traces at every shard count;
 # race-check that contract (sample-level equality and shard-independent
@@ -113,22 +121,30 @@ learn:
 	$(GO) test -race -run 'TestCompareOnWindow|TestTrainBitIdenticalToReference|TestTrainSingleAllocs' ./internal/core/
 
 # Hot-path benchmarks (engine step + sample pipeline + fitting/selection
-# kernels) with allocation reporting; the parsed results land in
-# BENCH_stats.json so the next PR has a perf trajectory to compare against.
+# kernels + the report's predictor and coefficient CIs) with allocation
+# reporting; the parsed results land in BENCH_stats.json so the next PR
+# has a perf trajectory to compare against. BenchmarkServeRefit runs in a
+# second call at a fixed 4 iterations: its first sweep allocates once, so
+# its allocs/op depends on the iteration count. benchjson reads both
+# outputs as one stream.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkCampaignStepMetered|BenchmarkCampaignWarmStart|BenchmarkMeter$$|BenchmarkCSVSink|BenchmarkLMSFit|BenchmarkSelectKth|BenchmarkOLSFit|BenchmarkCDF|BenchmarkServeRefit|BenchmarkTrain$$|BenchmarkCompareOnWindow|BenchmarkBootstrapOLS' -benchmem . | $(GO) run ./cmd/benchjson -out BENCH_stats.json
+	{ $(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkCampaignStepMetered|BenchmarkCampaignWarmStart|BenchmarkMeter$$|BenchmarkCSVSink|BenchmarkLMSFit|BenchmarkSelectKth|BenchmarkOLSFit|BenchmarkCDF|BenchmarkTrain$$|BenchmarkCompareOnWindow|BenchmarkBootstrapOLS|BenchmarkCoefficientCIs|BenchmarkDominantPeriod|BenchmarkAblationPredictor' -benchmem . && \
+	  $(GO) test -run '^$$' -bench '^BenchmarkServeRefit$$' -benchtime 4x -benchmem . ; } | $(GO) run ./cmd/benchjson -out BENCH_stats.json
 
 # Re-run the metering-path and refit-path benchmarks (the refit and its
-# two fitting stages, plus the bootstrap the report's coefficient CIs run)
-# and diff them against the committed BENCH_stats.json baseline: a >20%
-# ns/op regression in any of them fails the target, as does an allocs/op
-# rise past max(2, 1%) of the baseline, and the journaled step's overhead
-# over the observed step growing by >20 percentage points (allocs/op and
-# the -overhead pair's within-file ratio are host-free, so they survive an
-# _env mismatch). Comparable absolute ns/op needs a comparable machine, so
-# an _env mismatch with the committed baseline skips the ns/op delta table
-# (benchjson prints SKIPPED) instead of reporting machine noise as a
-# regression.
+# two fitting stages, plus the bootstrap the report's coefficient CIs run),
+# the report's coefficient CIs, dominant-period search and scaling
+# experiment, and diff them against the committed BENCH_stats.json
+# baseline: a >20% ns/op regression in any of them fails the target, as
+# does an allocs/op rise past max(2, 1%) of the baseline, and the
+# journaled step's overhead over the observed step growing by >20
+# percentage points (allocs/op and the -overhead pair's within-file ratio
+# are host-free, so they survive an _env mismatch). BenchmarkServeRefit
+# runs at the fixed 4 iterations `make bench` records it at. Comparable
+# absolute ns/op needs a comparable machine, so an _env mismatch with the
+# committed baseline skips the ns/op delta table (benchjson prints
+# SKIPPED) instead of reporting machine noise as a regression.
 bench-compare:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineCampaignStep|BenchmarkCampaignStepMetered|BenchmarkCampaignWarmStart|BenchmarkEngineDatacenterMetered|BenchmarkMeter$$|BenchmarkServeRefit|BenchmarkTrain$$|BenchmarkCompareOnWindow|BenchmarkBootstrapOLS' -benchmem . | $(GO) run ./cmd/benchjson -out /tmp/bench_new.json
+	{ $(GO) test -run '^$$' -bench 'BenchmarkEngineCampaignStep|BenchmarkCampaignStepMetered|BenchmarkCampaignWarmStart|BenchmarkEngineDatacenterMetered|BenchmarkMeter$$|BenchmarkTrain$$|BenchmarkCompareOnWindow|BenchmarkBootstrapOLS|BenchmarkCoefficientCIs|BenchmarkDominantPeriod|BenchmarkAblationPredictor' -benchmem . && \
+	  $(GO) test -run '^$$' -bench '^BenchmarkServeRefit$$' -benchtime 4x -benchmem . ; } | $(GO) run ./cmd/benchjson -out /tmp/bench_new.json
 	$(GO) run ./cmd/benchjson -compare -threshold 20 -skip-env-mismatch -overhead 'BenchmarkEngineCampaignStepObserved,BenchmarkEngineCampaignStepJournaled' BENCH_stats.json /tmp/bench_new.json

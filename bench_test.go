@@ -13,6 +13,7 @@ package virtover_test
 import (
 	"fmt"
 	"io"
+	"math/rand"
 	"sort"
 	"sync"
 	"testing"
@@ -40,6 +41,10 @@ var (
 	benchSingle     []core.Sample
 	benchMulti      []core.Sample
 	benchCorpusErr  error
+
+	benchPaperCorpusOnce sync.Once
+	benchPaperSingle     []core.Sample
+	benchPaperCorpusErr  error
 )
 
 func benchFittedModel(b *testing.B) *virtover.Model {
@@ -62,6 +67,20 @@ func benchCorpus(b *testing.B) ([]core.Sample, []core.Sample) {
 		b.Fatal(benchCorpusErr)
 	}
 	return benchSingle, benchMulti
+}
+
+// benchPaperCorpus is the single-VM half of the paper-size training
+// corpus (120 samples per campaign), the one the seed-1 report's
+// coefficient confidence table bootstraps.
+func benchPaperCorpus(b *testing.B) []core.Sample {
+	b.Helper()
+	benchPaperCorpusOnce.Do(func() {
+		benchPaperSingle, _, benchPaperCorpusErr = exps.TrainingCorpus(1, exps.PaperReportConfig(1).SamplesPerRun)
+	})
+	if benchPaperCorpusErr != nil {
+		b.Fatal(benchPaperCorpusErr)
+	}
+	return benchPaperSingle
 }
 
 // ---- Tables ----
@@ -711,6 +730,41 @@ func BenchmarkBootstrapOLS(b *testing.B) {
 		if _, err := stats.BootstrapOLS(xs, ys, true, 100, 0.90, 99); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCoefficientCIs is the report's coefficient confidence table:
+// all five targets, B=100 at 90%, on the seed-1 report's corpus and seed.
+func BenchmarkCoefficientCIs(b *testing.B) {
+	single := benchPaperCorpus(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.CoefficientCIs(single, 100, 0.90, 100); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchPeriod keeps BenchmarkDominantPeriod's result live.
+var benchPeriod int
+
+// BenchmarkDominantPeriod is one resource dimension of a
+// SignaturePredictor prediction at full history: a 256-sample window of
+// the scaling experiment's noisy 20%/80% on/off demand, period 60.
+func BenchmarkDominantPeriod(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	xs := make([]float64, 256)
+	for i := range xs {
+		xs[i] = 20 + r.NormFloat64()
+		if i%60 < 30 {
+			xs[i] += 60
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchPeriod, _ = stats.DominantPeriod(xs)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // predicts the next interval from the same phase of previous periods —
 // anticipating demand swings instead of chasing them. Aperiodic series
 // fall back to the sliding-window predictor's max(mean, last) rule. Both
-// paths apply the burst padding.
+// paths apply the burst padding. It is not safe for concurrent use.
 type SignaturePredictor struct {
 	// Window is the history length considered (default 256 samples; it
 	// must hold at least three periods of any pattern the predictor should
@@ -23,7 +23,8 @@ type SignaturePredictor struct {
 	// Padding is the relative headroom added to predictions (default 0.05).
 	Padding float64
 
-	hist map[string][][4]float64
+	hist   map[string][][4]float64
+	series []float64 // Predict's scratch: one dimension of a VM's history
 }
 
 // NewSignaturePredictor returns a predictor with CloudScale-like defaults.
@@ -67,8 +68,12 @@ func (p *SignaturePredictor) predictSeries(xs []float64) float64 {
 	if minStrength <= 0 {
 		minStrength = 0.35
 	}
-	if period, strength := stats.DominantPeriod(xs); n >= minSignatureHistory &&
-		strength >= minStrength && period >= 2 && period <= n/3 {
+	var period int
+	var strength float64
+	if n >= minSignatureHistory {
+		period, strength = stats.DominantPeriod(xs)
+	}
+	if strength >= minStrength && period >= 2 && period <= n/3 {
 		// Signature path: average the values one period, two periods, ...
 		// before the slot being predicted (slot index n).
 		var sum float64
@@ -105,18 +110,16 @@ func (p *SignaturePredictor) Predict(vm string) units.Vector {
 	if pad < 0 {
 		pad = 0
 	}
-	series := func(dim int) []float64 {
-		xs := make([]float64, len(h))
+	if cap(p.series) < len(h) {
+		p.series = make([]float64, max(len(h), p.window()))
+	}
+	xs := p.series[:len(h)]
+	var pred [4]float64
+	for dim := range pred {
 		for i, s := range h {
 			xs[i] = s[dim]
 		}
-		return xs
+		pred[dim] = p.predictSeries(xs)
 	}
-	out := units.V(
-		p.predictSeries(series(0)),
-		p.predictSeries(series(1)),
-		p.predictSeries(series(2)),
-		p.predictSeries(series(3)),
-	)
-	return out.Scale(1 + pad).ClampNonNegative()
+	return units.V(pred[0], pred[1], pred[2], pred[3]).Scale(1 + pad).ClampNonNegative()
 }

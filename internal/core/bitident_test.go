@@ -236,3 +236,76 @@ func TestTrainSingleAllocs(t *testing.T) {
 		t.Errorf("TrainSingle on 512 samples: %v allocs, want <= 12", allocs)
 	}
 }
+
+// TestCoefficientCIsMatchesPerTargetBootstrap pins the per-target
+// fan-out: each target's interval is stats.BootstrapOLS of that target
+// alone on stream seed+t, bit for bit, over windows that take OLS's ridge
+// fallback (a constant column) and the per-replicate fallback (a sparse
+// column); and a failure reports the lowest failing target whichever
+// goroutine fails first.
+func TestCoefficientCIsMatchesPerTargetBootstrap(t *testing.T) {
+	for i := 0; i < 12; i++ {
+		r := rand.New(rand.NewSource(int64(700 + i)))
+		var kinds [4]int // featSpread
+		switch i % 3 {
+		case 1:
+			kinds[r.Intn(4)] = featConstant
+		case 2:
+			kinds[r.Intn(4)] = featSparse
+		}
+		samples := genWindow(r, bitIdentSizes[r.Intn(len(bitIdentSizes))], 1, kinds, 0.5+3*r.Float64())
+		b, conf, seed := 20+r.Intn(80), []float64{0.8, 0.9, 0.95}[r.Intn(3)], r.Int63()
+		name := fmt.Sprintf("case%d/n%d/kinds%v/B%d", i, len(samples), kinds, b)
+		got, err := CoefficientCIs(samples, b, conf, seed)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		xs := featureRows(samples)
+		ys := make([]float64, len(samples))
+		for _, tg := range Targets() {
+			for j, s := range samples {
+				ys[j] = s.target(tg)
+			}
+			want, err := stats.BootstrapOLS(xs, ys, true, b, conf, seed+int64(tg))
+			if err != nil {
+				t.Fatalf("%s/%v: %v", name, tg, err)
+			}
+			g := got[tg]
+			if g == nil || !sameBits(g.Point, want.Point) || !sameBits(g.Lo, want.Lo) || !sameBits(g.Hi, want.Hi) ||
+				math.Float64bits(g.Conf) != math.Float64bits(want.Conf) || g.B != want.B {
+				t.Fatalf("%s/%v:\n got  %+v\n want %+v", name, tg, g, want)
+			}
+		}
+	}
+
+	samples := genWindow(rand.New(rand.NewSource(1)), 64, 1, [4]int{}, 1)
+	for _, c := range []struct {
+		samples []Sample
+		conf    float64
+		want    string
+	}{
+		{samples, 1.5, "core: bootstrap for dom0-cpu: stats: BootstrapOLS confidence 1.5 out of (0,1)"},
+		{samples[:3], 0.9, "core: bootstrap for dom0-cpu: stats: OLS needs at least 5 observations, got 3"},
+		{nil, 0.9, "core: CoefficientCIs: no samples"},
+	} {
+		cis, err := CoefficientCIs(c.samples, 50, c.conf, 7)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%d samples, conf %v: error %v, want %q", len(c.samples), c.conf, err, c.want)
+		}
+		if cis != ([NumTargets]*stats.CoefCI{}) {
+			t.Errorf("%d samples, conf %v: intervals returned with the error", len(c.samples), c.conf)
+		}
+	}
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}

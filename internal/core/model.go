@@ -23,7 +23,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 
 	"virtover/internal/monitor"
 	"virtover/internal/stats"
@@ -392,22 +394,43 @@ func (m *Model) Overhead(vms []units.Vector) units.Vector {
 // to judge which overhead relationships the measurement campaign actually
 // pins down (e.g. the Dom0 bandwidth slope is tight; the memory column is
 // wide because Dom0 CPU does not depend on guest memory).
+//
+// Target t bootstraps on its own random stream (seed+t) and only reads
+// the shared feature rows, so the targets run on up to GOMAXPROCS
+// goroutines and each interval is the one a serial loop would compute.
+// If any target fails, the lowest failing target's error is returned
+// with no intervals.
 func CoefficientCIs(samples []Sample, b int, conf float64, seed int64) ([NumTargets]*stats.CoefCI, error) {
 	var out [NumTargets]*stats.CoefCI
 	if len(samples) == 0 {
 		return out, errors.New("core: CoefficientCIs: no samples")
 	}
 	xs := featureRows(samples)
-	ys := make([]float64, len(samples))
+	targets := make(chan Target, NumTargets)
 	for _, t := range Targets() {
-		for i, s := range samples {
-			ys[i] = s.target(t)
-		}
-		ci, err := stats.BootstrapOLS(xs, ys, true, b, conf, seed+int64(t))
+		targets <- t
+	}
+	close(targets)
+	var errs [NumTargets]error
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), NumTargets); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ys := make([]float64, len(samples))
+			for t := range targets {
+				for i, s := range samples {
+					ys[i] = s.target(t)
+				}
+				out[t], errs[t] = stats.BootstrapOLS(xs, ys, true, b, conf, seed+int64(t))
+			}
+		}()
+	}
+	wg.Wait()
+	for t, err := range errs {
 		if err != nil {
-			return out, fmt.Errorf("core: bootstrap for %v: %w", t, err)
+			return [NumTargets]*stats.CoefCI{}, fmt.Errorf("core: bootstrap for %v: %w", Target(t), err)
 		}
-		out[t] = ci
 	}
 	return out, nil
 }

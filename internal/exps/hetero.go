@@ -116,34 +116,20 @@ func HeteroCorpus(seed int64, samplesPerRun int) (single, multi []core.ConfigSam
 	// columns, which pure CPU+BW campaigns would leave constant.
 	ios := []float64{0, 20, 55}
 	mems := []float64{0, 15, 45}
-	run := func(sc HeteroScenario, tag int64) error {
+	var scenarios []HeteroScenario
+	add := func(sc HeteroScenario) { // scenario i runs on seed + 37(i+1)
 		sc.Samples = samplesPerRun
-		sc.Seed = seed + tag
-		ss, rerr := RunHetero(sc)
-		if rerr != nil {
-			return rerr
-		}
-		for _, s := range ss {
-			if s.N == 1 {
-				single = append(single, s)
-			} else {
-				multi = append(multi, s)
-			}
-		}
-		return nil
+		sc.Seed = seed + int64(len(scenarios)+1)*37
+		scenarios = append(scenarios, sc)
 	}
-	tag := int64(0)
 	for _, v := range []int{1, 2, 4} {
 		for fi, f := range fracs {
 			for bi, bw := range bws {
-				tag++
-				if err := run(HeteroScenario{
+				add(HeteroScenario{
 					VCPUs: []int{v}, CPUFrac: f, BWMbps: bw,
 					IOBlocks: ios[(fi+bi)%len(ios)],
 					MemMB:    mems[(fi+2*bi)%len(mems)],
-				}, tag*37); err != nil {
-					return nil, nil, err
-				}
+				})
 			}
 		}
 	}
@@ -152,27 +138,53 @@ func HeteroCorpus(seed int64, samplesPerRun int) (single, multi []core.ConfigSam
 	// features, which fraction sweeps alone leave nearly collinear.
 	for _, v := range []int{1, 2, 4} {
 		for mi, mc := range []float64{20, 45, 70, 90} {
-			tag++
-			if err := run(HeteroScenario{
+			add(HeteroScenario{
 				VCPUs: []int{v}, CPUFrac: mc / (100 * float64(v)),
 				BWMbps:   bws[mi%len(bws)],
 				IOBlocks: ios[mi%len(ios)],
-			}, tag*37); err != nil {
-				return nil, nil, err
-			}
+			})
 		}
 	}
 	for _, cfg := range [][]int{{1, 2}, {2, 2}, {1, 1, 2}, {1, 4}} {
 		for fi, f := range fracs[:5] { // higher fractions saturate the pool
 			for bi, bw := range bws {
-				tag++
-				if err := run(HeteroScenario{
+				add(HeteroScenario{
 					VCPUs: cfg, CPUFrac: f, FracSpread: 0.4, BWMbps: bw,
 					IOBlocks: ios[(fi+2*bi)%len(ios)],
 					MemMB:    mems[(fi+bi)%len(mems)],
-				}, tag*37); err != nil {
-					return nil, nil, err
-				}
+				})
+			}
+		}
+	}
+	// Campaigns are independent simulations: run them on all cores and
+	// flatten in scenario order so the corpus is deterministic.
+	perRun := make([][]core.ConfigSample, len(scenarios))
+	err = runParallel(len(scenarios), func(i int) error {
+		var rerr error
+		perRun[i], rerr = RunHetero(scenarios[i])
+		return rerr
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	var nSingle, nMulti int
+	for _, ss := range perRun {
+		for _, s := range ss {
+			if s.N == 1 {
+				nSingle++
+			} else {
+				nMulti++
+			}
+		}
+	}
+	single = make([]core.ConfigSample, 0, nSingle)
+	multi = make([]core.ConfigSample, 0, nMulti)
+	for _, ss := range perRun {
+		for _, s := range ss {
+			if s.N == 1 {
+				single = append(single, s)
+			} else {
+				multi = append(multi, s)
 			}
 		}
 	}

@@ -4,13 +4,16 @@ package stats
 // (bitident_test.go): BootstrapOLS, OLS, designMatrix and qrSolve as they
 // were before the QR factor/solve split, when every bootstrap replicate
 // ran a full OLS with its own design, factorisation and residual
-// diagnostics. They are kept verbatim apart from their names; do not
-// "improve" them, since their only job is to pin the old arithmetic.
+// diagnostics; and FFT, PowerSpectrum and DominantPeriod as they were
+// before the twiddle tables, when every butterfly evaluated its own
+// complex exponential. They are kept verbatim apart from their names; do
+// not "improve" them, since their only job is to pin the old arithmetic.
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/cmplx"
 
 	"virtover/internal/simrand"
 )
@@ -213,4 +216,109 @@ func refQRSolve(a *Matrix, b []float64) ([]float64, error) {
 		x[i] = s / d
 	}
 	return x, nil
+}
+
+// refFFT computes the discrete Fourier transform of x using an iterative
+// radix-2 Cooley-Tukey algorithm. len(x) must be a power of two (use
+// NextPow2 + zero padding). The input is not modified.
+func refFFT(x []complex128) ([]complex128, error) {
+	n := len(x)
+	if n == 0 {
+		return nil, fmt.Errorf("stats: FFT of empty input")
+	}
+	if n&(n-1) != 0 {
+		return nil, fmt.Errorf("stats: FFT length %d is not a power of two", n)
+	}
+	out := make([]complex128, n)
+	// Bit-reversal permutation.
+	bits := 0
+	for 1<<bits < n {
+		bits++
+	}
+	for i := 0; i < n; i++ {
+		rev := 0
+		for b := 0; b < bits; b++ {
+			if i&(1<<b) != 0 {
+				rev |= 1 << (bits - 1 - b)
+			}
+		}
+		out[rev] = x[i]
+	}
+	// Butterflies.
+	for size := 2; size <= n; size <<= 1 {
+		half := size / 2
+		step := -2 * math.Pi / float64(size)
+		for start := 0; start < n; start += size {
+			for k := 0; k < half; k++ {
+				w := cmplx.Exp(complex(0, step*float64(k)))
+				a := out[start+k]
+				b := out[start+k+half] * w
+				out[start+k] = a + b
+				out[start+k+half] = a - b
+			}
+		}
+	}
+	return out, nil
+}
+
+// refPowerSpectrum returns |X_k|^2 / n for k = 0..n/2 of the mean-removed,
+// zero-padded series (bin 0 is therefore ~0). The returned slice has
+// NextPow2(len(xs))/2 + 1 entries.
+func refPowerSpectrum(xs []float64) ([]float64, error) {
+	if len(xs) == 0 {
+		return nil, fmt.Errorf("stats: PowerSpectrum of empty input")
+	}
+	mean := Mean(xs)
+	n := NextPow2(len(xs))
+	buf := make([]complex128, n)
+	for i, v := range xs {
+		buf[i] = complex(v-mean, 0)
+	}
+	X, err := refFFT(buf)
+	if err != nil {
+		return nil, err
+	}
+	half := n/2 + 1
+	ps := make([]float64, half)
+	for k := 0; k < half; k++ {
+		m := cmplx.Abs(X[k])
+		ps[k] = m * m / float64(n)
+	}
+	return ps, nil
+}
+
+// refDominantPeriod finds the strongest periodic component of xs. It returns
+// the period in samples and its strength: the fraction of total spectral
+// power concentrated in that frequency bin (0..1). A short or constant
+// series returns (0, 0).
+func refDominantPeriod(xs []float64) (period int, strength float64) {
+	if len(xs) < 4 {
+		return 0, 0
+	}
+	ps, err := refPowerSpectrum(xs)
+	if err != nil {
+		return 0, 0
+	}
+	var total float64
+	bestK := 0
+	var bestP float64
+	for k := 1; k < len(ps); k++ { // skip DC
+		total += ps[k]
+		if ps[k] > bestP {
+			bestP, bestK = ps[k], k
+		}
+	}
+	if total <= 0 || bestK == 0 {
+		return 0, 0
+	}
+	n := NextPow2(len(xs))
+	period = int(math.Round(float64(n) / float64(bestK)))
+	if period < 2 || period > len(xs)/2 {
+		return 0, 0
+	}
+	// Zero padding to a power of two quantizes the frequency grid and can
+	// bias the period by several samples; refine against the actual series
+	// with an autocorrelation search around the FFT candidate.
+	period = RefinePeriodACF(xs, period)
+	return period, bestP / total
 }
