@@ -1,14 +1,14 @@
 GO ?= go
 
-.PHONY: check fmt vet ctxvet build test race determinism shard-determinism meter-determinism fork-determinism pipeline obs journal serve learn bench bench-compare
+.PHONY: check fmt vet ctxvet build test race determinism shard-determinism meter-determinism fork-determinism pipeline obs journal serve learn fuzz-smoke bench bench-compare
 
 # The full pre-commit gate: formatting and static checks, build, the
 # race-enabled test suite (shuffled to flush test-order dependencies), the
 # multi-GOMAXPROCS fitting-kernel, sharded-engine, sharded-monitoring and
 # warm-start-fork determinism checks, the trace-pipeline gate, the
 # observability-layer, run-journal, estimation-service and
-# continuous-learning gates.
-check: fmt vet ctxvet build race determinism shard-determinism meter-determinism fork-determinism pipeline obs journal serve learn
+# continuous-learning gates, and a short run of every fuzz target.
+check: fmt vet ctxvet build race determinism shard-determinism meter-determinism fork-determinism pipeline obs journal serve learn fuzz-smoke
 
 # Every Go file is gofmt-clean.
 fmt:
@@ -115,29 +115,41 @@ serve:
 # its advertised identity) — plus the drift rule's own unit suite, and
 # the refit's fitting stages: Train and CompareOnWindow bit-identical to
 # their test-only per-target/per-replicate reference implementations, and
-# their allocation pins.
+# their allocation pins. A fit with a non-finite coefficient is a refit
+# error, and a 32-line one-tenant ingest batch stays at <= 4 allocations.
 learn:
-	$(GO) test -race -cpu 1,4 -run 'TestServeErrorEnvelope|TestServeIngestContract|TestServeTenantEviction|TestServeRefitLifecycle|TestServeRefitDeterminism|TestServeHotSwapConsistency|TestServeRefitLoop|TestOptionsNormalize|TestServeHealthzVersion' ./internal/serve/
+	$(GO) test -race -cpu 1,4 -run 'TestServeErrorEnvelope|TestServeIngestContract|TestServeTenantEviction|TestServeRefitLifecycle|TestServeRefitNonFinite|TestServeRefitDeterminism|TestServeHotSwapConsistency|TestServeRefitLoop|TestOptionsNormalize|TestServeHealthzVersion|TestIngestBatchAllocs' ./internal/serve/
 	$(GO) test -race -run 'TestCompareOnWindow|TestTrainBitIdenticalToReference|TestTrainSingleAllocs' ./internal/core/
 
+# Fuzz smoke: each fuzz target explores for 20 s past its committed seed
+# corpus (testdata/fuzz/<Target>, which plain go test replays).
+# FuzzIngestLine holds the hand-written ingest line decoder to the
+# encoding/json decode it replaced, bit for bit; FuzzParse holds the
+# scenario decoder to its error and trailing-data contract. go test
+# fuzzes one target per call. A crasher lands in the corpus directory and
+# becomes a regression test.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzIngestLine$$' -fuzztime 20s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 20s ./internal/scenario/
+
 # Hot-path benchmarks (engine step + sample pipeline + fitting/selection
-# kernels + the report's predictor and coefficient CIs) with allocation
-# reporting; the parsed results land in BENCH_stats.json so the next PR
-# has a perf trajectory to compare against. BenchmarkServeRefit runs in a
+# kernels + the report's predictor and coefficient CIs + the service's
+# ingest path) with allocation reporting; the parsed results land in
+# BENCH_stats.json so the next PR has a perf trajectory to compare against. BenchmarkServeRefit runs in a
 # second call at a fixed 4 iterations: its first sweep allocates once, so
 # its allocs/op depends on the iteration count. benchjson reads both
 # outputs as one stream.
 bench:
-	{ $(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkCampaignStepMetered|BenchmarkCampaignWarmStart|BenchmarkMeter$$|BenchmarkCSVSink|BenchmarkLMSFit|BenchmarkSelectKth|BenchmarkOLSFit|BenchmarkCDF|BenchmarkTrain$$|BenchmarkCompareOnWindow|BenchmarkBootstrapOLS|BenchmarkCoefficientCIs|BenchmarkDominantPeriod|BenchmarkAblationPredictor' -benchmem . && \
+	{ $(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkCampaignStepMetered|BenchmarkCampaignWarmStart|BenchmarkMeter$$|BenchmarkCSVSink|BenchmarkLMSFit|BenchmarkSelectKth|BenchmarkOLSFit|BenchmarkCDF|BenchmarkTrain$$|BenchmarkCompareOnWindow|BenchmarkBootstrapOLS|BenchmarkCoefficientCIs|BenchmarkDominantPeriod|BenchmarkAblationPredictor|BenchmarkServeIngest' -benchmem . && \
 	  $(GO) test -run '^$$' -bench '^BenchmarkServeRefit$$' -benchtime 4x -benchmem . ; } | $(GO) run ./cmd/benchjson -out BENCH_stats.json
 
 # Re-run the metering-path and refit-path benchmarks (the refit and its
 # two fitting stages, plus the bootstrap the report's coefficient CIs run),
 # the report's coefficient CIs, dominant-period search and scaling
-# experiment, and diff them against the committed BENCH_stats.json
-# baseline: a >20% ns/op regression in any of them fails the target, as
-# does an allocs/op rise past max(2, 1%) of the baseline, and the
-# journaled step's overhead over the observed step growing by >20
+# experiment, and the ingest path, and diff them against the committed
+# BENCH_stats.json baseline: a >20% ns/op regression in any of them fails
+# the target, as does an allocs/op rise past max(2, 1%) of the baseline,
+# and the journaled step's overhead over the observed step growing by >20
 # percentage points (allocs/op and the -overhead pair's within-file ratio
 # are host-free, so they survive an _env mismatch). BenchmarkServeRefit
 # runs at the fixed 4 iterations `make bench` records it at. Comparable
@@ -145,6 +157,6 @@ bench:
 # committed baseline skips the ns/op delta table (benchjson prints
 # SKIPPED) instead of reporting machine noise as a regression.
 bench-compare:
-	{ $(GO) test -run '^$$' -bench 'BenchmarkEngineCampaignStep|BenchmarkCampaignStepMetered|BenchmarkCampaignWarmStart|BenchmarkEngineDatacenterMetered|BenchmarkMeter$$|BenchmarkTrain$$|BenchmarkCompareOnWindow|BenchmarkBootstrapOLS|BenchmarkCoefficientCIs|BenchmarkDominantPeriod|BenchmarkAblationPredictor' -benchmem . && \
+	{ $(GO) test -run '^$$' -bench 'BenchmarkEngineCampaignStep|BenchmarkCampaignStepMetered|BenchmarkCampaignWarmStart|BenchmarkEngineDatacenterMetered|BenchmarkMeter$$|BenchmarkTrain$$|BenchmarkCompareOnWindow|BenchmarkBootstrapOLS|BenchmarkCoefficientCIs|BenchmarkDominantPeriod|BenchmarkAblationPredictor|BenchmarkServeIngest' -benchmem . && \
 	  $(GO) test -run '^$$' -bench '^BenchmarkServeRefit$$' -benchtime 4x -benchmem . ; } | $(GO) run ./cmd/benchjson -out /tmp/bench_new.json
 	$(GO) run ./cmd/benchjson -compare -threshold 20 -skip-env-mismatch -overhead 'BenchmarkEngineCampaignStepObserved,BenchmarkEngineCampaignStepJournaled' BENCH_stats.json /tmp/bench_new.json

@@ -23,6 +23,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -243,6 +244,9 @@ func fitCoefficients(xs [][]float64, ys []float64, opt FitOptions) ([]float64, e
 // per target, bit-identical to one OLS fit per target. LMS, ridge, and a
 // design FactorOLS rejects take one fit per target, which applies OLS's
 // ridge fallback and reports errors as "core: fitting <what><target>".
+// A row with a NaN or infinite coefficient is such an error: samples of
+// extreme magnitude overflow the regression, and a model that predicts
+// NaN is of no use to anyone it is served to.
 func fitTargets(samples []Sample, opt FitOptions, what string) ([NumTargets]Row, error) {
 	var rows [NumTargets]Row
 	xs := featureRows(samples)
@@ -263,11 +267,27 @@ func fitTargets(samples []Sample, opt FitOptions, what string) ([NumTargets]Row,
 			coef, err = fitCoefficients(xs, ys, opt)
 			copy(rows[t][:], coef)
 		}
+		if err == nil && !rows[t].finite() {
+			err = errNonFinite
+		}
 		if err != nil {
 			return rows, fmt.Errorf("core: fitting %s%v: %w", what, t, err)
 		}
 	}
 	return rows, nil
+}
+
+// errNonFinite reports a fit whose coefficients overflowed.
+var errNonFinite = errors.New("non-finite coefficient (the samples overflow the regression)")
+
+// finite reports whether every coefficient of r is a finite number.
+func (r Row) finite() bool {
+	for _, v := range r {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // TrainSingle fits the single-VM model (Eq. 1-2) from N=1 samples.

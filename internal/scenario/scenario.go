@@ -39,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"strings"
 
 	"virtover/internal/monitor"
@@ -139,9 +140,10 @@ func Parse(data []byte) (*Scenario, error) {
 	if err := dec.Decode(&s); err != nil {
 		return nil, decodeError(err)
 	}
-	// A second Decode distinguishes "one JSON document" from "one document
-	// followed by junk" (io.EOF is the clean case).
-	if err := dec.Decode(new(json.RawMessage)); err == nil {
+	// Only whitespace may follow the document: the next token must be
+	// io.EOF. Anything else — a second document, a stray '}' or ']', a
+	// partial value — is trailing data.
+	if _, err := dec.Token(); err != io.EOF {
 		return nil, badf("$", "trailing data after scenario document")
 	}
 	if err := s.Validate(); err != nil {

@@ -194,8 +194,15 @@ func TestParseFieldPathErrors(t *testing.T) {
 }
 
 func TestParseRejectsTrailingData(t *testing.T) {
-	if _, err := Parse([]byte(`{"pms": [{"name": "p"}], "vms": []} {"more": 1}`)); !errors.Is(err, ErrBadScenario) {
-		t.Errorf("trailing data err = %v, want ErrBadScenario", err)
+	const doc = `{"pms": [{"name": "p"}], "vms": []}`
+	if _, err := Parse([]byte(doc + " \n\t")); err != nil {
+		t.Fatalf("trailing whitespace: %v", err)
+	}
+	for _, tail := range []string{` {"more": 1}`, ` xyz`, ` }`, `]`, ` {"a":`, `,`, ` 5`} {
+		_, err := Parse([]byte(doc + tail))
+		if !errors.Is(err, ErrBadScenario) || !strings.Contains(err.Error(), "trailing data") {
+			t.Errorf("doc%s: err = %v, want a trailing-data ErrBadScenario", tail, err)
+		}
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"runtime/debug"
 	"strings"
@@ -190,14 +192,15 @@ func (s *Server) routes() {
 }
 
 // decodeStrict decodes one JSON document into v, rejecting unknown fields
-// and trailing data, mirroring scenario.Parse.
+// and trailing data, mirroring scenario.Parse: only whitespace may follow
+// the document, so the next token must be io.EOF.
 func decodeStrict(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("%w: %s", errBadRequest, strings.TrimPrefix(err.Error(), "json: "))
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return fmt.Errorf("%w: trailing data after request document", errBadRequest)
 	}
 	return nil
@@ -245,9 +248,29 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 	s.log.Debug("request failed", "req", RequestID(r.Context()), "path", r.URL.Path, "status", status, "err", err)
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+// writeJSON answers 200 with v as one line of JSON. It encodes before it
+// writes, so a value the encoder rejects answers the error envelope instead
+// of a 200 with no body.
+func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, v any) {
+	data, err := json.Marshal(v)
+	if err != nil {
+		s.writeError(w, r, fmt.Errorf("encoding the response: %w", err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(data, '\n'))
+}
+
+// checkEstimate rejects a prediction that is not finite: guests of extreme
+// magnitude can carry a finite model's output past the float64 range, and
+// JSON has no number for the result.
+func checkEstimate(p core.Prediction) error {
+	for _, v := range [...]float64{p.Dom0CPU, p.HypCPU, p.PM.CPU, p.PM.Mem, p.PM.IO, p.PM.BW} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%w: guests: the estimate is not a finite number (guest utilizations too large)", errBadRequest)
+		}
+	}
+	return nil
 }
 
 // observe wraps a compute handler with the request counter and the
@@ -416,7 +439,11 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		}
 		// Predict is a handful of dot products — no pool slot needed.
 		p := m.Predict(guests)
-		writeJSON(w, estimateResponse{
+		if err := checkEstimate(p); err != nil {
+			s.writeError(w, r, err)
+			return
+		}
+		s.writeJSON(w, r, estimateResponse{
 			Dom0CPU:  p.Dom0CPU,
 			HypCPU:   p.HypCPU,
 			PM:       toVectorJSON(p.PM),
@@ -474,7 +501,7 @@ func (s *Server) handleScenarioRun(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, r, err)
 			return
 		}
-		writeJSON(w, resp)
+		s.writeJSON(w, r, resp)
 	})
 }
 
@@ -505,7 +532,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	for i, k := range keys {
 		resp.Models[i] = k.spec()
 	}
-	writeJSON(w, resp)
+	s.writeJSON(w, r, resp)
 }
 
 // handleMetrics exposes the service registry as Prometheus text. An
@@ -556,7 +583,7 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Tenants = append(resp.Tenants, info)
 	}
-	writeJSON(w, resp)
+	s.writeJSON(w, r, resp)
 }
 
 // tenantModelResponse is GET /v1/tenants/{id}/model: the published model
@@ -608,7 +635,7 @@ func (s *Server) handleTenantModel(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, r, err)
 			return
 		}
-		writeJSON(w, tenantModelResponse{
+		s.writeJSON(w, r, tenantModelResponse{
 			Tenant:        r.PathValue("id"),
 			Version:       tm.version,
 			Hash:          tm.hash,
@@ -665,7 +692,11 @@ func (s *Server) handleTenantEstimate(w http.ResponseWriter, r *http.Request) {
 			guests[i] = units.V(g.CPU, g.Mem, g.IO, g.BW)
 		}
 		p := tm.model.Predict(guests)
-		writeJSON(w, tenantEstimateResponse{
+		if err := checkEstimate(p); err != nil {
+			s.writeError(w, r, err)
+			return
+		}
+		s.writeJSON(w, r, tenantEstimateResponse{
 			Dom0CPU:      p.Dom0CPU,
 			HypCPU:       p.HypCPU,
 			PM:           toVectorJSON(p.PM),
@@ -703,7 +734,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, errDraining)
 		return
 	}
-	writeJSON(w, healthzResponse{
+	s.writeJSON(w, r, healthzResponse{
 		Status:          "ok",
 		QueueDepth:      len(s.tasks),
 		Workers:         s.opt.Workers,
@@ -745,5 +776,5 @@ func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	writeJSON(w, resp)
+	s.writeJSON(w, r, resp)
 }

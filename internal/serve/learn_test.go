@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -173,6 +174,22 @@ func TestServeErrorEnvelope(t *testing.T) {
 			body: `{"guests": []}`, wantStatus: 400, wantCode: "bad_request"},
 		{name: "unknown route", method: "GET", path: "/v1/nope",
 			wantStatus: 404, wantCode: "not_found"},
+		{name: "estimate overflow", method: "POST", path: "/v1/estimate",
+			body:       `{"model": {"seed": 1}, "guests": [{"cpu": 1.7e308, "mem": 1.7e308, "io": 1.7e308, "bw": 1.7e308}]}`,
+			wantStatus: 400, wantCode: "bad_request"},
+		{name: "tenant estimate overflow", method: "POST", path: "/v1/tenants/acme/estimate",
+			body:       `{"guests": [{"cpu": 1.7e308, "mem": 1.7e308, "io": 1.7e308, "bw": 1.7e308}]}`,
+			wantStatus: 400, wantCode: "bad_request",
+			setup: func(t *testing.T) (string, func()) {
+				s, ts := learnServer(t, Options{Workers: 1, Queue: 1, Window: 16})
+				if _, err := s.Ingest("acme", learnSamples(learnRows(1), 16, 4)); err != nil {
+					t.Fatal(err)
+				}
+				if _, swaps, err := s.RefitNow(context.Background()); err != nil || swaps != 1 {
+					t.Fatalf("seed refit: swaps=%d err=%v", swaps, err)
+				}
+				return ts.URL, func() {}
+			}},
 		{name: "queue full", method: "POST", path: "/v1/fit",
 			body: fitSpec, wantStatus: 429, wantCode: "queue_full",
 			setup: func(t *testing.T) (string, func()) {
@@ -527,6 +544,35 @@ func TestServeRefitLifecycle(t *testing.T) {
 	}
 	if got := s.m.refitErrs.Value(); got != 0 {
 		t.Errorf("serve_refit_errors_total = %d, want 0", got)
+	}
+}
+
+// TestServeRefitNonFinite: 64 valid lines of telemetry at magnitudes of
+// 1e160 to 1e300 overflow the regression, so the fit's coefficients are
+// not finite. That is a fit error: the refit counts it and publishes
+// nothing, and the tenant's model endpoint answers the 404 envelope
+// instead of failing to encode NaN.
+func TestServeRefitNonFinite(t *testing.T) {
+	s, ts := learnServer(t, Options{Workers: 1, Queue: 1, Window: 64, Obs: obs.NewRegistry()})
+	var b strings.Builder
+	for i := 0; i < 64; i++ {
+		m := math.Pow(10, float64(160+i*140/63))
+		fmt.Fprintf(&b, `{"tenant":"huge","vmSum":{"cpu":%g,"mem":%g,"io":%g,"bw":%g},"dom0CPU":%g,"hypCPU":%g,"pm":{"cpu":%g,"mem":%g,"io":%g,"bw":%g}}`+"\n",
+			m, 2*m+float64(i), 3*m*float64(i%7+1), m*float64(i%5+1), m/3, m/7, m, 2*m, 3*m, 4*m)
+	}
+	if resp, data := doReq(t, "POST", ts.URL+"/v1/ingest", b.String(), ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest: %d (%s)", resp.StatusCode, data)
+	}
+	if _, swaps, err := s.RefitNow(context.Background()); err != nil || swaps != 0 {
+		t.Fatalf("refit: swaps=%d err=%v, want no publish", swaps, err)
+	}
+	if got := s.m.refitErrs.Value(); got != 1 {
+		t.Errorf("serve_refit_errors_total = %d, want 1", got)
+	}
+	resp, body := doReq(t, "GET", ts.URL+"/v1/tenants/huge/model", "", "")
+	var env errorEnvelope
+	if resp.StatusCode != http.StatusNotFound || json.Unmarshal(body, &env) != nil || env.Error.Code != "not_found" {
+		t.Errorf("model after a non-finite fit: %d %s, want the 404 envelope", resp.StatusCode, body)
 	}
 }
 

@@ -347,6 +347,11 @@ func TestServeBadRequests(t *testing.T) {
 		{"/v1/fit", `{"version": 2, "seed": 1}`, "unsupported version 2"},
 		{"/v1/fit", `{"seed": 1, "method": "magic"}`, `unknown method "magic"`},
 		{"/v1/fit", `{"seed": 1, "method": "lms", "ridge": 0.1}`, "ridge"},
+		{"/v1/fit", `{"seed": 1}}`, "trailing data"},
+		{"/v1/fit", `{"seed": 1} ]`, "trailing data"},
+		{"/v1/fit", `{"seed": 1} {"seed":`, "trailing data"},
+		{"/v1/estimate", `{"model": {"seed": 1}, "guests": [{"cpu": 1}]}]`, "trailing data"},
+		{"/v1/tenants/acme/estimate", `{"guests": [{"cpu": 1}]}}`, "trailing data"},
 		{"/v1/estimate", `{"model": {"seed": 1}, "guests": []}`, "at least one guest"},
 		{"/v1/scenario/run", `{"version": 1, "pms": [], "vms": []}`, "at least one PM"},
 		{"/v1/scenario/run",

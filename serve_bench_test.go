@@ -1,13 +1,18 @@
-// Benchmark for the continuously-learning estimation service's refit
-// sweep: the background loop's steady-state cost of keeping a large
-// tenant population fresh. The population is the service's documented
-// memory ceiling — MaxTenants x Window samples — so this is the "full
+// Benchmarks for the continuously-learning estimation service: the
+// ingest path's cost per telemetry line, and the refit sweep — the
+// background loop's steady-state cost of keeping a large tenant
+// population fresh. The sweep's population is the service's documented
+// memory ceiling — MaxTenants x Window samples — so that is the "full
 // house" case: every tenant dirty, every window full.
 package virtover_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"virtover/internal/core"
@@ -106,4 +111,57 @@ func BenchmarkServeRefit(b *testing.B) {
 	}
 	b.ReportMetric(float64(refits)/float64(b.N), "refits/op")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(refits), "ns/refit")
+}
+
+// benchIngestLine is the wire form perfbench's learn workload sends, in
+// its key order.
+type benchIngestLine struct {
+	Tenant  string   `json:"tenant"`
+	N       int      `json:"n"`
+	VMSum   benchVec `json:"vmSum"`
+	Dom0CPU float64  `json:"dom0CPU"`
+	HypCPU  float64  `json:"hypCPU"`
+	PM      benchVec `json:"pm"`
+}
+
+type benchVec struct {
+	CPU float64 `json:"cpu"`
+	Mem float64 `json:"mem"`
+	IO  float64 `json:"io"`
+	BW  float64 `json:"bw"`
+}
+
+func benchVector(v units.Vector) benchVec { return benchVec{v.CPU, v.Mem, v.IO, v.BW} }
+
+// BenchmarkServeIngest measures POST /v1/ingest through the handler
+// (httptest recorder, no network): framing, line decoding, validation
+// and window appends for one tenant's batch of 32 or 512 lines, encoded
+// the way perfbench's learn workload encodes them. ns/line is the cost
+// per telemetry sample.
+func BenchmarkServeIngest(b *testing.B) {
+	for _, lines := range []int{32, 512} {
+		b.Run(fmt.Sprintf("lines%d", lines), func(b *testing.B) {
+			s, err := serve.NewServer(serve.Options{RefitInterval: -1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer func() { _ = s.Shutdown(context.Background()) }()
+			var body bytes.Buffer
+			enc := json.NewEncoder(&body)
+			for _, smp := range benchRefitSamples(lines, 77) {
+				_ = enc.Encode(benchIngestLine{Tenant: "t0001", N: smp.N, VMSum: benchVector(smp.VMSum),
+					Dom0CPU: smp.Dom0CPU, HypCPU: smp.HypCPU, PM: benchVector(smp.PM)})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rec := httptest.NewRecorder()
+				s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(body.Bytes())))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("ingest: %d %s", rec.Code, rec.Body)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lines), "ns/line")
+		})
+	}
 }
