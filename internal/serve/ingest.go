@@ -269,13 +269,13 @@ func decodeIngestLine(line []byte, reuse string) (ingestLine, error) {
 			if k < 0 {
 				break
 			}
-			switch k {
+			switch k { // in ingestKeys order
 			case 0:
-				err = p.int(&l.Version)
+				err = p.integer(&l.Version)
 			case 1:
 				err = p.tenant(&l.Tenant, reuse)
 			case 2:
-				err = p.int(&l.N)
+				err = p.integer(&l.N)
 			case 3:
 				err = p.vector(&l.VMSum)
 			case 4:
@@ -432,7 +432,7 @@ func (p *lineParser) vector(v *vectorJSON) error {
 	if err := p.open(); err != nil {
 		return err
 	}
-	dst := [...]*float64{&v.CPU, &v.Mem, &v.IO, &v.BW}
+	dst := [...]*float64{&v.CPU, &v.Mem, &v.IO, &v.BW} // in vectorKeys order
 	for first := true; ; first = false {
 		k, err := p.member(vectorKeys, first)
 		if err != nil || k < 0 {
@@ -461,8 +461,8 @@ func (p *lineParser) float(dst *float64) error {
 	return nil
 }
 
-// int reads an integer or null into dst.
-func (p *lineParser) int(dst *int) error {
+// integer reads an integer or null into dst.
+func (p *lineParser) integer(dst *int) error {
 	if p.null() {
 		return nil
 	}

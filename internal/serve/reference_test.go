@@ -3,7 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
+	"errors"
 	"strings"
 )
 
@@ -17,10 +17,10 @@ func refDecodeIngestLine(raw []byte) (ingestLine, int64, error) {
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&l); err != nil {
-		return l, 0, fmt.Errorf("%s", strings.TrimPrefix(err.Error(), "json: "))
+		return l, 0, errors.New(strings.TrimPrefix(err.Error(), "json: "))
 	}
 	if dec.More() {
-		return l, 0, fmt.Errorf("trailing data after the sample object")
+		return l, 0, errors.New("trailing data after the sample object")
 	}
 	return l, dec.InputOffset(), nil
 }
