@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet ctxvet build test race determinism shard-determinism meter-determinism fork-determinism pipeline obs journal serve learn fuzz-smoke bench bench-compare
+.PHONY: check fmt vet ctxvet build test race determinism shard-determinism meter-determinism fork-determinism pipeline obs journal serve learn fuzz-smoke bench bench-compare loc
 
 # The full pre-commit gate: formatting and static checks, build, the
 # race-enabled test suite (shuffled to flush test-order dependencies), the
@@ -64,9 +64,12 @@ shard-determinism:
 # The monitoring pipeline promises byte-identical measured output at every
 # shard count: the full-chain equivalence test, the step-contract units,
 # the golden metered-campaign fixture and the irregular-chain fixture
-# (shards {1,2,8}), race-checked across the GOMAXPROCS matrix.
+# (shards {1,2,8}), race-checked across the GOMAXPROCS matrix. The
+# one-pass Meter and Collector must also equal the deferred-replay machines
+# they replaced (kept in reference_test.go) over generated campaigns whose
+# filters split PM groups, with shards delivered concurrently.
 meter-determinism:
-	$(GO) test -race -cpu 1,2,8 -run 'TestShardedPipelineMatchesSerial|TestShardedMeterActuallyShards|TestShardedIrregularSegmentsDefer|TestCollectorHostlessGroupShardInvariant|TestMeteredCampaignGolden|TestIrregularChainsGolden' ./internal/monitor/
+	$(GO) test -race -cpu 1,2,8 -run 'TestShardedPipelineMatchesSerial|TestShardedMeterActuallyShards|TestShardedIrregularSegmentsDefer|TestCollectorHostlessGroupShardInvariant|TestMeteredCampaignGolden|TestIrregularChainsGolden|TestOnePassMatchesReplay' ./internal/monitor/
 	$(GO) test -race -cpu 1,2,8 ./internal/sampling/
 
 # Warm-start forking gate: a cell forked from a warmed prefix emits a
@@ -160,3 +163,9 @@ bench-compare:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkEngineCampaignStep|BenchmarkCampaignStepMetered|BenchmarkCampaignWarmStart|BenchmarkEngineDatacenterMetered|BenchmarkMeter$$|BenchmarkTrain$$|BenchmarkCompareOnWindow|BenchmarkBootstrapOLS|BenchmarkCoefficientCIs|BenchmarkDominantPeriod|BenchmarkAblationPredictor|BenchmarkServeIngest' -benchmem . && \
 	  $(GO) test -run '^$$' -bench '^BenchmarkServeRefit$$' -benchtime 4x -benchmem . ; } | $(GO) run ./cmd/benchjson -out /tmp/bench_new.json
 	$(GO) run ./cmd/benchjson -compare -threshold 20 -skip-env-mismatch -overhead 'BenchmarkEngineCampaignStepObserved,BenchmarkEngineCampaignStepJournaled' BENCH_stats.json /tmp/bench_new.json
+
+# Tracked Go lines outside perfbench/, non-test then test: the net line
+# count each change reports, measured the same way every time.
+loc:
+	@git ls-files -- '*.go' ':!:perfbench/*' | grep -v '_test\.go$$' | xargs cat | wc -l | xargs printf 'non-test %s\n'
+	@git ls-files -- '*.go' ':!:perfbench/*' | grep '_test\.go$$' | xargs cat | wc -l | xargs printf 'test     %s\n'

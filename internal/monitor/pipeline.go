@@ -27,15 +27,15 @@ import (
 // instruments live in a dense pmID-indexed slice, and each shard measures
 // into its own reused scratch and forwards one measured segment downstream.
 //
-// Each shard's segment is measured on the goroutine that delivered it —
-// for a sharded engine, the worker that stepped those PMs (DESIGN.md §13).
-// This is deterministic by construction — each PM's noise streams come
-// from its own instruments, a PM belongs to exactly one shard per step,
-// and within a shard groups are measured in segment order — so the output
-// is bit-identical at every shard count. A segment that is not a run of
-// complete canonical groups (a filter split a PM group) is deferred whole
-// to FinishStep, where the scalar state machine replays it in shard order;
-// so is every segment of a step that begins with a partial group buffered.
+// Each shard's segment is measured in one pass, in (PM, time) runs, on the
+// goroutine that delivered it — for a sharded engine, the worker that
+// stepped those PMs (DESIGN.md §13). This is deterministic by construction
+// — each PM's noise streams come from its own instruments, a PM belongs to
+// exactly one shard per step, and within a shard groups are measured in
+// segment order — so the output is bit-identical at every shard count. A
+// run that a filter split (anything but one complete canonical group) is
+// measured right there by measureRun; no group spans two runs, because
+// segments are PM-disjoint and every step has its own time.
 type Meter struct {
 	Noise NoiseProfile
 	Seed  int64
@@ -43,41 +43,27 @@ type Meter struct {
 	Next sampling.Sink
 
 	ins []*instruments // dense, indexed by PM arena ID
-
-	// The scalar state machine's in-flight (PM, step) group, fed only by
-	// deferred-segment replays.
-	guests  []sampling.Sample
-	dom0    sampling.Sample
-	hyp     sampling.Sample
-	curPM   int
-	curTime float64
-	started bool
-	open    bool // a partial group is buffered
-
-	shs    []meterScratch // one per shard (grown, never shrunk)
-	shards int            // shard count of the in-flight step
-	replay bool           // a partial group was open at BeginStep: defer every segment
+	shs []meterScratch // one per shard (grown, never shrunk)
 
 	// Self-observability instruments (nil-safe no-ops until Instrument).
 	groups       *obs.Counter
 	groupSamples *obs.Histogram
 	shardSteps   *obs.Counter
-	deferredSegs *obs.Counter
 	shardsGauge  *obs.Gauge
 }
 
 // meterScratch is one shard's working storage of the tool emulation: the
-// screen permutation, per-tool readings, the measured output segment and
-// the segment deferred to FinishStep, if any. Every shard owns its own, so
-// shards measure concurrently without sharing.
+// screen permutation, per-tool readings, a split run's guest rows and the
+// measured output segment. Every shard owns its own, so shards measure
+// concurrently without sharing.
 type meterScratch struct {
 	order    []int // sorted-name permutation
 	gx       []DomainReading
 	gt       []TopReading
 	measured []units.Vector
+	guests   []sampling.Sample // guest rows of a split run
 	out      []sampling.Sample // measured-output segment
-	def      []sampling.Sample // deferred input segment
-	deferred bool
+	_        [64]byte          // no cache line holds two shards' fields
 }
 
 // growSort refills sc.order with 0..n-1 and stable-insertion-sorts it by
@@ -100,13 +86,12 @@ func (sc *meterScratch) growSort(guests []sampling.Sample) []int {
 }
 
 // Instrument registers the meter's metrics: measured PM groups, the size
-// of each measured group, and the step/deferral counters.
+// of each measured group, and the step and shard-count instruments.
 // A nil registry is a no-op.
 func (m *Meter) Instrument(reg *obs.Registry) {
 	m.groups = reg.Counter("meter_groups_total", "PM groups measured by the tool emulation")
 	m.groupSamples = reg.Histogram("meter_group_samples", "samples per measured PM group batch")
 	m.shardSteps = reg.Counter("meter_sharded_steps_total", "steps measured, each through the per-shard path")
-	m.deferredSegs = reg.Counter("meter_deferred_segments_total", "shard segments with irregular grouping deferred to the serial merge")
 	m.shardsGauge = reg.Gauge("meter_shards", "shard count of the last sharded metering step")
 }
 
@@ -143,40 +128,6 @@ func (m *Meter) instrumentsFor(pmID int) *instruments {
 	return in
 }
 
-// consume is the scalar state machine that replays deferred segments:
-// guests, Dom0 and hypervisor samples are buffered, and the group's host
-// sample triggers the synchronized multi-tool reading into sc. A group
-// starts clean, so a Dom0 or hypervisor row a filter dropped reads as zero
-// rather than as a neighbouring PM's, and is emitted labelled as its
-// group's row (the group's time and PM, VMID -1, its own kind and domain).
-func (m *Meter) consume(s sampling.Sample, sc *meterScratch) {
-	if !m.started || s.PMID != m.curPM || s.Time != m.curTime {
-		m.started = true
-		m.curPM, m.curTime = s.PMID, s.Time
-		m.guests = m.guests[:0]
-		m.dom0 = sampling.Sample{Time: s.Time, PMID: s.PMID, PM: s.PM, VMID: -1,
-			Domain: sampling.LabelDom0, Kind: sampling.KindDom0}
-		m.hyp = sampling.Sample{Time: s.Time, PMID: s.PMID, PM: s.PM, VMID: -1,
-			Domain: sampling.LabelHypervisor, Kind: sampling.KindHypervisor}
-		m.open = false
-	}
-	switch s.Kind {
-	case sampling.KindGuest:
-		m.guests = append(m.guests, s)
-		m.open = true
-	case sampling.KindDom0:
-		m.dom0 = s
-		m.open = true
-	case sampling.KindHypervisor:
-		m.hyp = s
-		m.open = true
-	case sampling.KindHost:
-		m.measureGroupInto(sc, m.guests, m.dom0, m.hyp, s)
-		m.guests = m.guests[:0]
-		m.open = false
-	}
-}
-
 // BeginStep implements sampling.Sink. Instrument and scratch tables are
 // pre-sized here, on the stepping goroutine, so shards only ever touch
 // disjoint entries.
@@ -187,8 +138,6 @@ func (m *Meter) BeginStep(shape sampling.StepShape) {
 	for len(m.shs) < shape.Shards {
 		m.shs = append(m.shs, meterScratch{})
 	}
-	m.shards = shape.Shards
-	m.replay = m.open
 	for s := 0; s < shape.Shards; s++ {
 		m.shs[s].out = m.shs[s].out[:0]
 	}
@@ -197,83 +146,85 @@ func (m *Meter) BeginStep(shape sampling.StepShape) {
 	m.shardsGauge.Set(int64(shape.Shards))
 }
 
-// ConsumeShard implements sampling.Sink: the shard's PM groups are measured
-// into its own scratch and forwarded as one segment. Determinism needs no
-// coordination — noise comes from per-PM instruments, and the segment's
-// PMs belong to no other shard. Irregular segments wait for FinishStep.
+// ConsumeShard implements sampling.Sink: the shard's segment is measured
+// run by run into its own scratch and forwarded as one segment.
+// Determinism needs no coordination — noise comes from per-PM instruments,
+// and the segment's PMs belong to no other shard.
 func (m *Meter) ConsumeShard(shard int, seg []sampling.Sample) {
 	sc := &m.shs[shard]
-	if m.replay || !canonicalSegment(seg) {
-		sc.def, sc.deferred = seg, true
-		return
-	}
-	for i := 0; i < len(seg); {
-		guests, adv, _ := scanGroup(seg[i:])
-		g := seg[i:]
-		m.measureGroupInto(sc, guests, g[len(guests)], g[len(guests)+1], g[len(guests)+2])
-		i += adv
+	for len(seg) > 0 {
+		run := pmRun(seg)
+		if guests, ok := canonicalGroup(run); ok {
+			n := len(guests)
+			m.measureGroupInto(sc, guests, run[n], run[n+1], run[n+2])
+		} else {
+			m.measureRun(sc, run)
+		}
+		seg = seg[len(run):]
 	}
 	m.Next.ConsumeShard(shard, sc.out)
 }
 
-// FinishStep implements sampling.Sink: deferred segments replay through the
-// scalar machine in ascending shard order (drawing the exact same per-PM
-// noise sequences the per-shard path would have) and are forwarded, then
-// the step closes downstream.
-func (m *Meter) FinishStep() {
-	for s := 0; s < m.shards; s++ {
-		sc := &m.shs[s]
-		if !sc.deferred {
-			continue
-		}
-		m.deferredSegs.Inc()
-		for i := range sc.def {
-			m.consume(sc.def[i], sc)
-		}
-		m.Next.ConsumeShard(s, sc.out)
-		sc.def, sc.deferred = nil, false
-	}
-	m.Next.FinishStep()
-}
+// FinishStep implements sampling.Sink: every shard was measured and
+// forwarded in ConsumeShard, so the step only closes downstream.
+func (m *Meter) FinishStep() { m.Next.FinishStep() }
 
-// scanGroup checks whether b starts with one complete PM group in
-// canonical emission order: zero or more guests, then Dom0, hypervisor and
-// host rows, all sharing PMID and Time. It returns the guest sub-slice and
-// the number of samples consumed.
-func scanGroup(b []sampling.Sample) (guests []sampling.Sample, adv int, ok bool) {
-	pm, t := b[0].PMID, b[0].Time
-	n := 0
-	for n < len(b) && b[n].Kind == sampling.KindGuest && b[n].PMID == pm && b[n].Time == t {
+// pmRun returns the longest prefix of the non-empty seg whose rows share
+// the first row's PM and time: one PM group, or what a filter left of it.
+func pmRun(seg []sampling.Sample) []sampling.Sample {
+	pm, t := seg[0].PMID, seg[0].Time
+	n := 1
+	for n < len(seg) && seg[n].PMID == pm && seg[n].Time == t {
 		n++
 	}
-	if n+3 > len(b) {
-		return nil, 0, false
-	}
-	if b[n].Kind != sampling.KindDom0 || b[n+1].Kind != sampling.KindHypervisor ||
-		b[n+2].Kind != sampling.KindHost {
-		return nil, 0, false
-	}
-	for k := n; k < n+3; k++ {
-		if b[k].PMID != pm || b[k].Time != t {
-			return nil, 0, false
-		}
-	}
-	return b[:n], n + 3, true
+	return seg[:n]
 }
 
-// canonicalSegment reports whether seg is exactly a run of complete
-// canonical PM groups — the shape a shard's batch segment has when no
-// filter split a group. An empty segment is canonical.
-func canonicalSegment(seg []sampling.Sample) bool {
-	i := 0
-	for i < len(seg) {
-		_, adv, ok := scanGroup(seg[i:])
-		if !ok {
-			return false
-		}
-		i += adv
+// canonicalGroup reports whether run, the rows of one PM and time, is
+// exactly one complete group in emission order — guests, then Dom0,
+// hypervisor and host rows — and returns its guest rows.
+func canonicalGroup(run []sampling.Sample) (guests []sampling.Sample, ok bool) {
+	n := len(run) - 3
+	if n < 0 || run[n].Kind != sampling.KindDom0 || run[n+1].Kind != sampling.KindHypervisor ||
+		run[n+2].Kind != sampling.KindHost {
+		return nil, false
 	}
-	return true
+	for i := range run[:n] {
+		if run[i].Kind != sampling.KindGuest {
+			return nil, false
+		}
+	}
+	return run[:n], true
+}
+
+// measureRun measures a (PM, time) run that is not one canonical group.
+// A Dom0 or hypervisor row a filter dropped reads as zero rather than as a
+// neighbouring PM's, and is emitted labelled as its group's row (the
+// group's time and PM, VMID -1, its own kind and domain). Each host row
+// triggers one synchronized reading of the guest rows since the previous
+// host row and the latest Dom0 and hypervisor rows; rows after the last
+// host row are not measured.
+func (m *Meter) measureRun(sc *meterScratch, run []sampling.Sample) {
+	s := run[0]
+	dom0 := sampling.Sample{Time: s.Time, PMID: s.PMID, PM: s.PM, VMID: -1,
+		Domain: sampling.LabelDom0, Kind: sampling.KindDom0}
+	hyp := sampling.Sample{Time: s.Time, PMID: s.PMID, PM: s.PM, VMID: -1,
+		Domain: sampling.LabelHypervisor, Kind: sampling.KindHypervisor}
+	guests := sc.guests[:0]
+	for _, r := range run {
+		switch r.Kind {
+		case sampling.KindGuest:
+			guests = append(guests, r)
+		case sampling.KindDom0:
+			dom0 = r
+		case sampling.KindHypervisor:
+			hyp = r
+		case sampling.KindHost:
+			m.measureGroupInto(sc, guests, dom0, hyp, r)
+			guests = guests[:0]
+		}
+	}
+	sc.guests = guests
 }
 
 // measureGroupInto runs the tools over one PM group and appends the
@@ -351,16 +302,12 @@ func (m *Meter) measureGroupInto(sc *meterScratch, guests []sampling.Sample, dom
 // step is one map per PM (sized by the largest guest count seen) plus one
 // row slice (sized by the widest row seen).
 //
-// Shards assemble their own PMs' rows in parallel and the merge
-// concatenates them in shard order, which is PM order. Irregular segments
-// (and every segment of a step that begins with a partial row buffered)
-// replay through the scalar state machine at the merge.
+// Each shard assembles its own PMs' rows in one pass over its segment, in
+// (PM, time) runs, and the merge concatenates them in shard order, which
+// is PM order.
 type Collector struct {
 	series  [][]Measurement
 	row     []Measurement
-	cur     Measurement
-	curPM   int // PMID of the open group
-	open    bool
 	curTime float64
 	started bool
 
@@ -369,15 +316,14 @@ type Collector struct {
 
 	shs    []colShard
 	shTime float64
-	replay bool // a partial row was open at BeginStep: defer every segment
 }
 
 // colShard is one shard's partial state of a collection step.
 type colShard struct {
 	rows []Measurement
-	def  []sampling.Sample // deferred irregular segment
-	saw  bool              // shard delivered at least one sample
-	maxG int               // largest guest count seen (folded into guestHint)
+	saw  bool     // shard delivered at least one sample
+	maxG int      // largest guest count seen (folded into guestHint)
+	_    [64]byte // no cache line holds two shards' fields
 }
 
 // NewCollector returns an empty collector.
@@ -392,40 +338,6 @@ func (c *Collector) flushRow() {
 	c.row = nil
 }
 
-// consume is the scalar state machine that replays deferred segments. A
-// sample of another PM or time starts a new group, as in the Meter's
-// replay; a group that ends without its host row yields no Measurement.
-func (c *Collector) consume(s sampling.Sample) {
-	if c.started && s.Time != c.curTime {
-		c.flushRow()
-	}
-	c.started = true
-	c.curTime = s.Time
-	if !c.open || s.PMID != c.curPM || s.Time != c.cur.Time {
-		c.cur = Measurement{Time: s.Time, PM: s.PM, VMs: make(map[string]units.Vector, c.guestHint)}
-		c.curPM = s.PMID
-		c.open = true
-	}
-	switch s.Kind {
-	case sampling.KindGuest:
-		c.cur.VMs[s.Domain] = s.Util
-		if n := len(c.cur.VMs); n > c.guestHint {
-			c.guestHint = n
-		}
-	case sampling.KindDom0:
-		c.cur.Dom0 = s.Util
-	case sampling.KindHypervisor:
-		c.cur.HypervisorCPU = s.Util.CPU
-	case sampling.KindHost:
-		c.cur.Host = s.Util
-		if c.row == nil && c.rowHint > 0 {
-			c.row = make([]Measurement, 0, c.rowHint)
-		}
-		c.row = append(c.row, c.cur)
-		c.open = false
-	}
-}
-
 // BeginStep implements sampling.Sink.
 func (c *Collector) BeginStep(shape sampling.StepShape) {
 	for len(c.shs) < shape.Shards {
@@ -433,52 +345,53 @@ func (c *Collector) BeginStep(shape sampling.StepShape) {
 	}
 	c.shs = c.shs[:shape.Shards]
 	c.shTime = shape.Time
-	c.replay = c.open
 	for s := range c.shs {
 		sh := &c.shs[s]
 		sh.rows = sh.rows[:0]
-		sh.def = nil
 		sh.saw = false
 	}
 }
 
-// ConsumeShard implements sampling.Sink: the shard's complete PM groups
-// are assembled into per-shard rows. Irregular segments are deferred whole
-// to the merge.
+// ConsumeShard implements sampling.Sink: the shard's segment is assembled
+// into per-shard rows in one pass, run by (PM, time) run. A Measurement
+// opens at its group's first row: guest rows go into its map and the Dom0
+// and hypervisor rows into their fields, and a host row closes it. A run
+// without a host row yields none.
 func (c *Collector) ConsumeShard(shard int, seg []sampling.Sample) {
 	if len(seg) == 0 {
 		return
 	}
 	sh := &c.shs[shard]
 	sh.saw = true
-	if c.replay || !canonicalSegment(seg) {
-		sh.def = seg
-		return
-	}
 	hint := c.guestHint // stable during the concurrent phase
-	for i := 0; i < len(seg); {
-		guests, adv, _ := scanGroup(seg[i:])
-		g := seg[i:]
-		m := Measurement{Time: g[0].Time, PM: g[0].PM,
-			VMs: make(map[string]units.Vector, hint)}
-		for k := range guests {
-			m.VMs[guests[k].Domain] = guests[k].Util
+	for len(seg) > 0 {
+		run := pmRun(seg)
+		seg = seg[len(run):]
+		var m Measurement
+		for _, s := range run {
+			if m.VMs == nil {
+				m = Measurement{Time: s.Time, PM: s.PM, VMs: make(map[string]units.Vector, hint)}
+			}
+			switch s.Kind {
+			case sampling.KindGuest:
+				m.VMs[s.Domain] = s.Util
+				sh.maxG = max(sh.maxG, len(m.VMs))
+			case sampling.KindDom0:
+				m.Dom0 = s.Util
+			case sampling.KindHypervisor:
+				m.HypervisorCPU = s.Util.CPU
+			case sampling.KindHost:
+				m.Host = s.Util
+				sh.rows = append(sh.rows, m)
+				m.VMs = nil
+			}
 		}
-		m.Dom0 = g[len(guests)].Util
-		m.HypervisorCPU = g[len(guests)+1].Util.CPU
-		m.Host = g[len(guests)+2].Util
-		if len(guests) > sh.maxG {
-			sh.maxG = len(guests)
-		}
-		sh.rows = append(sh.rows, m)
-		i += adv
 	}
 }
 
-// FinishStep implements sampling.Sink: replays deferred segments through
-// the scalar machine and concatenates every shard's rows in shard order —
-// PM order — into the step's row (the step-boundary flush happens only if
-// the step delivered samples).
+// FinishStep implements sampling.Sink: concatenates every shard's rows in
+// shard order — PM order — into the step's row (the step-boundary flush
+// happens only if the step delivered samples).
 func (c *Collector) FinishStep() {
 	any := false
 	for s := range c.shs {
@@ -494,20 +407,7 @@ func (c *Collector) FinishStep() {
 	c.curTime = c.shTime
 	for s := range c.shs {
 		sh := &c.shs[s]
-		if sh.maxG > c.guestHint {
-			c.guestHint = sh.maxG
-		}
-		if sh.def != nil {
-			// Replay through the scalar machine with the step row swapped
-			// for the shard's rows, so replayed rows land in shard order.
-			save := c.row
-			c.row = sh.rows
-			for i := range sh.def {
-				c.consume(sh.def[i])
-			}
-			sh.rows, c.row = c.row, save
-			sh.def = nil
-		}
+		c.guestHint = max(c.guestHint, sh.maxG)
 		if len(sh.rows) > 0 {
 			if c.row == nil && c.rowHint > 0 {
 				c.row = make([]Measurement, 0, c.rowHint)

@@ -157,9 +157,9 @@ func TestShardedPipelineMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestShardedMeterActuallyShards proves engine segments are measured in
-// place on their shards and never defer: every kept step goes through the
-// meter with zero irregular segments when all PMs are monitored.
+// TestShardedMeterActuallyShards proves a sharded engine drives the meter
+// through the per-shard path: every kept step reaches the meter and its PM
+// groups are measured.
 func TestShardedMeterActuallyShards(t *testing.T) {
 	reg := obs.NewRegistry()
 	meteredRun(t, 8, false, reg)
@@ -167,15 +167,12 @@ func TestShardedMeterActuallyShards(t *testing.T) {
 	if shardedSteps == 0 {
 		t.Fatal("sharded engine never drove the meter")
 	}
-	if deferred := reg.Counter("meter_deferred_segments_total", "").Value(); deferred != 0 {
-		t.Fatalf("engine segments deferred %d times; want 0 (canonical groups)", deferred)
-	}
 	if groups := reg.Counter("meter_groups_total", "").Value(); groups == 0 {
 		t.Fatal("no PM groups measured")
 	}
 
-	// A filtered run may split groups; the deferral path must then engage
-	// without changing output (output equality is covered above).
+	// A filtered run may split groups; they are measured in place on their
+	// shards (output equality is covered above).
 	reg2 := obs.NewRegistry()
 	meteredRun(t, 8, true, reg2)
 	if reg2.Counter("meter_sharded_steps_total", "").Value() == 0 {
@@ -184,11 +181,12 @@ func TestShardedMeterActuallyShards(t *testing.T) {
 }
 
 // TestShardedIrregularSegmentsDefer drives the meter with a hand-built step
-// in which a filter dropped one PM's Dom0 row, so that PM's segment is not
-// a run of complete canonical groups and defers to the merge. The measured
-// stream must be the same at one and two shards whichever PM lost the row:
-// a partial group never reads a neighbouring PM's Dom0, and the Dom0 row
-// it emits in place of the dropped one is labelled as that PM's.
+// in which a filter dropped one PM's Dom0 row, so that PM's (PM, time) run
+// is not a complete canonical group and is measured in place, on its shard.
+// The measured stream must be the same at one and two shards whichever PM
+// lost the row: a partial group never reads a neighbouring PM's Dom0, and
+// the Dom0 row it emits in place of the dropped one is labelled as that
+// PM's.
 func TestShardedIrregularSegmentsDefer(t *testing.T) {
 	mk := func(pm int, t float64, dom0 bool) []sampling.Sample {
 		name := fmt.Sprintf("pm%d", pm)

@@ -618,7 +618,11 @@ func (s *Server) loadTenantModel(r *http.Request) (*tenant, *tenantModel, error)
 	}
 	tm := t.cur.Load()
 	if tm == nil {
-		return t, nil, fmt.Errorf("%w: tenant %q has no fitted model yet (%d samples buffered; refit pending)", errNotFound, id, t.windowLen())
+		next := "refit pending"
+		if !t.dirty.Load() {
+			next = "the last refit skipped or failed"
+		}
+		return t, nil, fmt.Errorf("%w: tenant %q has no fitted model yet (%d samples buffered; %s)", errNotFound, id, t.windowLen(), next)
 	}
 	return t, tm, nil
 }

@@ -549,9 +549,10 @@ func TestServeRefitLifecycle(t *testing.T) {
 
 // TestServeRefitNonFinite: 64 valid lines of telemetry at magnitudes of
 // 1e160 to 1e300 overflow the regression, so the fit's coefficients are
-// not finite. That is a fit error: the refit counts it and publishes
-// nothing, and the tenant's model endpoint answers the 404 envelope
-// instead of failing to encode NaN.
+// not finite. That is a fit error: the refit counts it as an error, not as
+// a refit, and publishes nothing, and the tenant's model endpoint answers
+// the 404 envelope instead of failing to encode NaN — no longer saying a
+// refit is pending.
 func TestServeRefitNonFinite(t *testing.T) {
 	s, ts := learnServer(t, Options{Workers: 1, Queue: 1, Window: 64, Obs: obs.NewRegistry()})
 	var b strings.Builder
@@ -563,16 +564,29 @@ func TestServeRefitNonFinite(t *testing.T) {
 	if resp, data := doReq(t, "POST", ts.URL+"/v1/ingest", b.String(), ""); resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest: %d (%s)", resp.StatusCode, data)
 	}
-	if _, swaps, err := s.RefitNow(context.Background()); err != nil || swaps != 0 {
-		t.Fatalf("refit: swaps=%d err=%v, want no publish", swaps, err)
+	model := func() errorEnvelope {
+		t.Helper()
+		resp, body := doReq(t, "GET", ts.URL+"/v1/tenants/huge/model", "", "")
+		var env errorEnvelope
+		if resp.StatusCode != http.StatusNotFound || json.Unmarshal(body, &env) != nil || env.Error.Code != "not_found" {
+			t.Errorf("model: %d %s, want the 404 envelope", resp.StatusCode, body)
+		}
+		return env
+	}
+	if env := model(); !strings.Contains(env.Error.Message, "refit pending") {
+		t.Errorf("model before the refit: %q, want a pending refit", env.Error.Message)
+	}
+	if refits, swaps, err := s.RefitNow(context.Background()); err != nil || refits != 0 || swaps != 0 {
+		t.Fatalf("refit: refits=%d swaps=%d err=%v, want a failed fit counted as neither", refits, swaps, err)
 	}
 	if got := s.m.refitErrs.Value(); got != 1 {
 		t.Errorf("serve_refit_errors_total = %d, want 1", got)
 	}
-	resp, body := doReq(t, "GET", ts.URL+"/v1/tenants/huge/model", "", "")
-	var env errorEnvelope
-	if resp.StatusCode != http.StatusNotFound || json.Unmarshal(body, &env) != nil || env.Error.Code != "not_found" {
-		t.Errorf("model after a non-finite fit: %d %s, want the 404 envelope", resp.StatusCode, body)
+	if got := s.m.refits.Value(); got != 0 {
+		t.Errorf("serve_refits_total = %d, want 0", got)
+	}
+	if env := model(); strings.Contains(env.Error.Message, "refit pending") {
+		t.Errorf("model after a non-finite fit: %q, want no pending refit", env.Error.Message)
 	}
 }
 

@@ -37,10 +37,11 @@ const minRefitSamples = 8
 type refitDisposition string
 
 const (
-	refitSeed refitDisposition = "seed" // first model for the tenant
-	refitSwap refitDisposition = "swap" // drift significant: challenger published
-	refitKeep refitDisposition = "keep" // challenger discarded, incumbent stays
-	refitSkip refitDisposition = "skip" // too few samples to fit
+	refitSeed refitDisposition = "seed"  // first model for the tenant
+	refitSwap refitDisposition = "swap"  // drift significant: challenger published
+	refitKeep refitDisposition = "keep"  // challenger discarded, incumbent stays
+	refitSkip refitDisposition = "skip"  // too few samples to fit
+	refitFail refitDisposition = "error" // fit or drift rule failed, incumbent stays
 )
 
 // refitter owns the background loop's lifecycle and scratch. Sweeps are
@@ -111,10 +112,11 @@ func (rf *refitter) stopLoop() {
 
 // RefitNow forces one synchronous refit sweep over every dirty tenant and
 // reports how many tenants were refit and how many of those published a
-// new model. It is the test and embedding hook for driving refits
-// deterministically (set Options.RefitInterval < 0 to disable the
-// background loop and call RefitNow yourself) and is safe to call while
-// the loop runs: sweeps serialize.
+// new model; a skipped or failed fit counts as neither. It is the test and
+// embedding hook for driving refits deterministically (set
+// Options.RefitInterval < 0 to disable the background loop and call
+// RefitNow yourself) and is safe to call while the loop runs: sweeps
+// serialize.
 func (s *Server) RefitNow(ctx context.Context) (refits, swaps int, err error) {
 	return s.refit.sweep(ctx)
 }
@@ -131,25 +133,22 @@ func (rf *refitter) sweep(ctx context.Context) (refits, swaps int, err error) {
 		if !t.dirty.Load() {
 			continue
 		}
-		disp, ferr := rf.refitTenant(t)
-		switch disp {
-		case refitSkip:
-			continue
+		switch rf.refitTenant(t) {
 		case refitSeed, refitSwap:
 			refits++
 			swaps++
 		case refitKeep:
 			refits++
 		}
-		_ = ferr // counted and journaled inside refitTenant
 	}
 	rf.lastSweep.Store(time.Now().UnixNano())
 	return refits, swaps, nil
 }
 
-// refitTenant fits one challenger for t and applies the drift rule. The
-// caller holds sweepMu, so the scratch slices are single-writer.
-func (rf *refitter) refitTenant(t *tenant) (refitDisposition, error) {
+// refitTenant fits one challenger for t and applies the drift rule; a
+// failure is counted and journaled here. The caller holds sweepMu, so the
+// scratch slices are single-writer.
+func (rf *refitter) refitTenant(t *tenant) refitDisposition {
 	s := rf.s
 	jr := s.jr
 	t0 := jr.Now()
@@ -171,7 +170,7 @@ func (rf *refitter) refitTenant(t *tenant) (refitDisposition, error) {
 	}
 	if len(rf.single) < minRefitSamples {
 		// Not enough single-VM evidence yet; wait for more telemetry.
-		return refitSkip, nil
+		return refitSkip
 	}
 	multi := rf.multi
 	if len(multi) < minRefitSamples {
@@ -182,8 +181,8 @@ func (rf *refitter) refitTenant(t *tenant) (refitDisposition, error) {
 	challenger, err := core.Train(rf.single, multi, s.opt.Refit)
 	if err != nil {
 		s.m.refitErrs.Inc()
-		rf.emit(t, t0, "error", len(rf.window), err)
-		return refitKeep, err
+		rf.emit(t, t0, string(refitFail), len(rf.window), err)
+		return refitFail
 	}
 
 	incumbent := t.cur.Load()
@@ -196,8 +195,8 @@ func (rf *refitter) refitTenant(t *tenant) (refitDisposition, error) {
 		})
 		if derr != nil {
 			s.m.refitErrs.Inc()
-			rf.emit(t, t0, "error", len(rf.window), derr)
-			return refitKeep, derr
+			rf.emit(t, t0, string(refitFail), len(rf.window), derr)
+			return refitFail
 		}
 		if rep.Significant {
 			disp = refitSwap
@@ -209,7 +208,7 @@ func (rf *refitter) refitTenant(t *tenant) (refitDisposition, error) {
 	s.m.refits.Inc()
 	if disp == refitKeep {
 		rf.emit(t, t0, string(disp), len(rf.window), nil)
-		return disp, nil
+		return disp
 	}
 
 	var version uint64 = 1
@@ -225,7 +224,7 @@ func (rf *refitter) refitTenant(t *tenant) (refitDisposition, error) {
 	})
 	s.m.swaps.Inc()
 	rf.emit(t, t0, string(disp), len(rf.window), nil)
-	return disp, nil
+	return disp
 }
 
 // emit journals one "refit" event.
